@@ -17,14 +17,14 @@
 //!   job.
 //! - [`scheduler`] — a worker pool that runs CEGIS over a scenario list
 //!   with deterministic budgets, checkpoints successful shields as
-//!   [`vrl_runtime::ShieldArtifact`]s, and mass-deploys them through
-//!   [`vrl_runtime::ShardRouter`] / [`vrl_runtime::FleetRouter`].
+//!   [`vrl_runtime::ShieldArtifact`]s, and mass-deploys them to any
+//!   [`vrl_runtime::ShieldBackend`], e.g. a [`vrl_runtime::Router`].
 //!
 //! # Quickstart
 //!
 //! ```
 //! use vrl_farm::{generate, run_farm, FarmConfig, JobConfig};
-//! use vrl_runtime::{Placement, ShardRouter};
+//! use vrl_runtime::{Router, ShieldServer};
 //!
 //! let scenarios = generate(&FarmConfig::smoke());
 //! assert!(scenarios.len() >= 20);
@@ -36,8 +36,9 @@
 //!     .cloned()
 //!     .collect();
 //! let report = run_farm(&picked, &JobConfig::default(), 2);
-//! let router = ShardRouter::new(2, 1, Placement::Jump);
-//! let deployed = report.deploy_to_router(&router).unwrap();
+//! let shards = (0..2).map(|_| ShieldServer::with_workers(1)).collect();
+//! let router = Router::new(shards, 1);
+//! let deployed = report.deploy_to(&router).unwrap();
 //! assert_eq!(deployed, report.synthesized());
 //! ```
 

@@ -48,7 +48,7 @@ pub(crate) fn deployments() -> &'static Counter {
     static HANDLE: LazyLock<&'static Counter> = LazyLock::new(|| {
         registry().counter(
             "vrl_farm_deployments_total",
-            "Farm artifacts deployed through a shard or fleet router.",
+            "Farm artifacts deployed through a serving backend.",
         )
     });
     *HANDLE

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use vrl::dynamics::LinearPolicy;
 use vrl::shield::{synthesize_shield, CegisConfig, CegisError, TableConfig};
 use vrl_runtime::fixtures::demo_oracle;
-use vrl_runtime::{FleetRouter, ServeError, ShardRouter, ShieldArtifact};
+use vrl_runtime::{ServeError, ShieldArtifact, ShieldBackend};
 
 /// Per-job settings shared by every job of a farm run.
 #[derive(Debug, Clone)]
@@ -137,35 +137,19 @@ impl FarmReport {
         }
     }
 
-    /// Mass-deploys every checkpointed artifact to a shard router under
-    /// its scenario ID and returns how many were deployed.
+    /// Mass-deploys every checkpointed artifact to `backend` (a
+    /// [`ShieldServer`](vrl_runtime::ShieldServer), a
+    /// [`Router`](vrl_runtime::Router) over any shards, ...) under its
+    /// scenario ID and returns how many were deployed.
     ///
     /// # Errors
     ///
     /// Propagates the first [`ServeError`]; earlier deployments stay live.
-    pub fn deploy_to_router(&self, router: &ShardRouter) -> Result<usize, ServeError> {
+    pub fn deploy_to(&self, backend: &impl ShieldBackend) -> Result<usize, ServeError> {
         let mut deployed = 0;
         for record in &self.records {
             if let Some(artifact) = &record.artifact {
-                router.deploy(&record.scenario_id, artifact.clone())?;
-                crate::obs::deployments().inc();
-                deployed += 1;
-            }
-        }
-        Ok(deployed)
-    }
-
-    /// Mass-deploys every checkpointed artifact to a replicated fleet
-    /// under its scenario ID and returns how many were deployed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`ServeError`]; earlier deployments stay live.
-    pub fn deploy_to_fleet(&self, fleet: &FleetRouter) -> Result<usize, ServeError> {
-        let mut deployed = 0;
-        for record in &self.records {
-            if let Some(artifact) = &record.artifact {
-                fleet.deploy(&record.scenario_id, artifact.clone())?;
+                backend.put_artifact(&record.scenario_id, artifact.clone())?;
                 crate::obs::deployments().inc();
                 deployed += 1;
             }
@@ -192,22 +176,16 @@ fn run_job(scenario: &Scenario, config: &JobConfig, deadline: Option<Instant>) -
             // Package the shield with a deterministic per-scenario neural
             // oracle; attach the decision table only when it actually
             // builds, keeping the exact path otherwise (the
-            // vrl_shield_decide_table_build_fallbacks_total counter
+            // vrl_shield_decide_table_build_fallbacks_total{reason} counter
             // records each fallback).
+            let shield = match &config.table {
+                None => shield,
+                Some(tc) => shield.with_table_or_fallback(tc).0,
+            };
             let oracle_nn = demo_oracle(scenario.env(), &config.oracle_hidden, scenario.seed());
-            let base = ShieldArtifact::new(shield.clone(), oracle_nn)
+            let artifact = ShieldArtifact::new(shield, oracle_nn)
                 .expect("farm oracle is sized for the scenario environment")
                 .with_label(scenario.id());
-            let artifact = match &config.table {
-                None => base,
-                Some(tc) => match base.clone().with_table_config(tc.clone()) {
-                    Ok(tabled) => tabled,
-                    Err(_) => {
-                        let _ = shield.with_table_or_fallback(tc);
-                        base
-                    }
-                },
-            };
             let checksum = fnv1a64(&artifact.to_bytes());
             (
                 JobOutcome::Synthesized {

@@ -301,9 +301,11 @@ impl Mlp {
     /// Inputs are processed [`BATCH_LANES`] at a time with each layer's
     /// weight rows blocked across the lane (see
     /// `DenseLayer::forward_batch`), which amortizes the weight-matrix
-    /// memory traffic that dominates large-layer scalar forwards.  Output
-    /// `i` is **bit-identical** to `forward_into(&inputs[i])` — batching
-    /// reorders only independent work (debug builds assert this per lane).
+    /// memory traffic that dominates large-layer scalar forwards.  A chunk
+    /// of one input (a batch of one, or a ragged tail of one) runs the
+    /// scalar [`Mlp::forward_into`] instead.  Output `i` is
+    /// **bit-identical** to `forward_into(&inputs[i])` — batching reorders
+    /// only independent work (debug builds assert this per lane).
     ///
     /// # Panics
     ///
@@ -320,6 +322,14 @@ impl Mlp {
         let mut base = 0;
         while base < inputs.len() {
             let lanes = (inputs.len() - base).min(BATCH_LANES);
+            if lanes == 1 {
+                // A lone input would pay for a whole padded lane sweep;
+                // the scalar pass is the reference the lanes match anyway.
+                let output = self.forward_into(&inputs[base], scratch);
+                out[base].clear();
+                out[base].extend_from_slice(output);
+                break;
+            }
             let chunk = &inputs[base..base + lanes];
             // Transpose the chunk feature-major into the current buffer,
             // zero-padding the dead lanes of a ragged tail.

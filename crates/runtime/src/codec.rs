@@ -252,8 +252,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Continues an FNV-1a fold from a previous [`fnv1a64`] /
 /// [`fnv1a64_continue`] result, so a hash over a logical concatenation
 /// (`fnv1a64_continue(fnv1a64(a), b)` ≡ `fnv1a64(a ‖ b)`) never needs the
-/// concatenated buffer — the shard router's per-request placement scoring
-/// relies on this to stay allocation-free.
+/// concatenated buffer — the router's per-request placement scoring
+/// relies on this to hash no key buffer per shard.
 pub fn fnv1a64_continue(seed: u64, bytes: &[u8]) -> u64 {
     let mut hash = seed;
     for &b in bytes {

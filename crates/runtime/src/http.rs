@@ -54,15 +54,14 @@
 //! # Backends
 //!
 //! The front-end serves anything implementing [`ShieldBackend`]: a plain
-//! [`ShieldServer`] (single process) or a
-//! [`ShardRouter`] (deployments consistent-hashed
-//! across shards).  See the crate-level example and
-//! `examples/http_server.rs` for the end-to-end story.
+//! [`ShieldServer`] (single process), a [`RemoteShard`](crate::RemoteShard)
+//! (a shard in another process), or a [`Router`](crate::Router) over either
+//! (deployments replicated across shards).  See the crate-level example
+//! and `examples/http_server.rs` for the end-to-end story.
 
 use crate::arena::{ConnScratch, StateArena};
 use crate::artifact::{ArtifactError, ShieldArtifact};
 use crate::frame;
-use crate::router::ShardRouter;
 use crate::server::{ServeError, ShieldServer};
 use crate::telemetry::DeploymentTelemetry;
 use crate::wire::{self, WireError};
@@ -76,10 +75,12 @@ use vrl::shield::ShieldDecision;
 
 /// The serving operations the HTTP front-end needs from its backend.
 ///
-/// Implemented by [`ShieldServer`] (all deployments in-process) and
-/// [`ShardRouter`] (deployments consistent-hashed across shards); the
-/// front-end is written against this trait so moving from one process to a
-/// sharded fleet is a constructor change, not a protocol change.
+/// Implemented by [`ShieldServer`] (all deployments in-process),
+/// [`RemoteShard`](crate::RemoteShard) (a shard over the wire), and
+/// [`Router`](crate::Router) (deployments replicated across shards of
+/// either kind); the front-end is written against this trait so moving
+/// from one process to a fleet is a constructor change, not a protocol
+/// change.
 pub trait ShieldBackend: Send + Sync + 'static {
     /// Deploys `artifact` under `name`, hot-replacing any existing
     /// deployment (HTTP `PUT` semantics).  Returns the generation now
@@ -96,14 +97,16 @@ pub trait ShieldBackend: Send + Sync + 'static {
     /// A point-in-time copy of a deployment's telemetry.
     fn backend_telemetry(&self, name: &str) -> Result<DeploymentTelemetry, ServeError>;
 
-    /// Names of all current deployments, sorted.
-    fn deployment_names(&self) -> Vec<String>;
-
     /// `(name, generation)` for every current deployment, sorted by name —
-    /// what `GET /healthz` reports.  A deployment undeployed between the
-    /// name listing and the generation lookup is skipped rather than
-    /// erroring the whole health probe.
-    fn deployment_generations(&self) -> Vec<(String, u64)>;
+    /// what `GET /healthz` reports, and what a [`Router`](crate::Router)'s
+    /// prober asks each shard.  A deployment undeployed between the name
+    /// listing and the generation lookup is skipped rather than erroring
+    /// the whole health probe.
+    ///
+    /// # Errors
+    ///
+    /// When the backend cannot be reached ([`ServeError::Remote`]).
+    fn deployment_generations(&self) -> Result<Vec<(String, u64)>, ServeError>;
 
     /// Removes a deployment (HTTP `DELETE` semantics).  `Ok(true)` when it
     /// existed, `Ok(false)` when there was nothing to remove.
@@ -127,58 +130,19 @@ impl ShieldBackend for ShieldServer {
         self.telemetry(name)
     }
 
-    fn deployment_names(&self) -> Vec<String> {
-        self.deployments()
-    }
-
-    fn deployment_generations(&self) -> Vec<(String, u64)> {
-        self.deployments()
+    fn deployment_generations(&self) -> Result<Vec<(String, u64)>, ServeError> {
+        Ok(self
+            .deployments()
             .into_iter()
             .filter_map(|name| {
                 let generation = self.generation(&name).ok()?;
                 Some((name, generation))
             })
-            .collect()
+            .collect())
     }
 
     fn remove_deployment(&self, name: &str) -> Result<bool, ServeError> {
         Ok(ShieldServer::undeploy(self, name))
-    }
-}
-
-impl ShieldBackend for ShardRouter {
-    fn put_artifact(&self, name: &str, artifact: ShieldArtifact) -> Result<u64, ServeError> {
-        ShardRouter::deploy(self, name, artifact)
-    }
-
-    fn decide_batch(
-        &self,
-        name: &str,
-        states: &[Vec<f64>],
-    ) -> Result<Vec<ShieldDecision>, ServeError> {
-        ShardRouter::decide_batch(self, name, states)
-    }
-
-    fn backend_telemetry(&self, name: &str) -> Result<DeploymentTelemetry, ServeError> {
-        self.telemetry(name)
-    }
-
-    fn deployment_names(&self) -> Vec<String> {
-        self.deployments()
-    }
-
-    fn deployment_generations(&self) -> Vec<(String, u64)> {
-        self.deployments()
-            .into_iter()
-            .filter_map(|name| {
-                let generation = self.generation(&name).ok()?;
-                Some((name, generation))
-            })
-            .collect()
-    }
-
-    fn remove_deployment(&self, name: &str) -> Result<bool, ServeError> {
-        Ok(ShardRouter::undeploy(self, name))
     }
 }
 
@@ -948,10 +912,13 @@ fn dispatch(
 ) -> Response {
     let segments: Vec<&str> = request.segments.iter().map(String::as_str).collect();
     match (request.method, segments.as_slice()) {
-        (Method::Get, ["healthz"]) => Response::ok(wire::health_response(
-            &backend.deployment_generations(),
-            vrl_obs::uptime_seconds(),
-        )),
+        (Method::Get, ["healthz"]) => match backend.deployment_generations() {
+            Ok(generations) => Response::ok(wire::health_response(
+                &generations,
+                vrl_obs::uptime_seconds(),
+            )),
+            Err(error) => serve_error_response(&error, request_id),
+        },
         (Method::Get, ["metrics"]) => Response::ok_with_type(
             vrl_obs::registry().render_prometheus(),
             CONTENT_TYPE_PROMETHEUS,

@@ -23,16 +23,15 @@
 //!   `healthz` / Prometheus `metrics`) in front of any
 //!   [`http::ShieldBackend`], using only the standard library (see the
 //!   README's wire-protocol reference).
-//! * **Sharding** — [`ShardRouter`] consistent-hashes deployments across
-//!   backend shield servers (rendezvous or jump placement), rehydrates
-//!   moved deployments from artifact bytes when the fleet grows, and
-//!   aggregates per-shard telemetry.
-//! * **Fault-tolerant fleets** — [`RemoteShard`] speaks the wire protocol
-//!   to a shard in another process with deadlines, bounded jittered
-//!   retries, and a per-shard circuit breaker; [`FleetRouter`] replicates
-//!   every deployment on two shards, health-probes them, fails `decide`
-//!   over when the primary dies, rehydrates recovered shards, and hands
-//!   telemetry off across replicas.  [`fault::ChaosProxy`] scripts
+//! * **Replicated routing** — [`Router`] spreads deployments over any
+//!   [`ShieldBackend`] shards by rendezvous hashing, keeps each on
+//!   `replicas` of them, fails `decide` over when a replica's transport
+//!   fails, health-probes shards and rehydrates what they lost from
+//!   artifact bytes, grows the fleet with [`Router::add_shard`], and sums
+//!   telemetry across replicas and shards.  In-process it routes
+//!   [`ShieldServer`]s; across processes it routes [`RemoteShard`]s, which
+//!   speak the wire protocol with deadlines, bounded jittered retries, and
+//!   a per-shard circuit breaker.  [`fault::ChaosProxy`] scripts
 //!   connection-level faults so every failover path is hermetically
 //!   testable.
 //!
@@ -79,7 +78,6 @@ mod artifact;
 mod codec;
 pub mod fault;
 pub mod fixtures;
-mod fleet;
 pub mod frame;
 pub mod http;
 mod obs;
@@ -96,12 +94,11 @@ pub use artifact::{
     ArtifactError, ArtifactMetadata, ShieldArtifact, FORMAT_VERSION, MAGIC, MIN_SUPPORTED_VERSION,
 };
 pub use codec::DecodeError;
-pub use fleet::{FleetConfig, FleetRouter};
 pub use http::{HttpConfig, HttpFrontend, MiniClient, MiniResponse, ShieldBackend};
 pub use obs::install_metrics;
 pub use pool::WorkerPool;
 pub use remote::{BreakerState, RemoteError, RemoteShard, RemoteShardConfig};
-pub use router::{jump_consistent_hash, Placement, RouterTelemetry, ShardRouter, ShardTelemetry};
+pub use router::{replica_set, Router, RouterTelemetry, ShardTelemetry};
 pub use server::{ServeError, ShieldServer};
 pub use telemetry::DeploymentTelemetry;
 

@@ -2,9 +2,9 @@
 //!
 //! [`RemoteShard`] implements [`ShieldBackend`](crate::http::ShieldBackend)
 //! over the wire protocol served by
-//! [`HttpFrontend`](crate::http::HttpFrontend), so a process holding a
-//! [`FleetRouter`](crate::fleet::FleetRouter) can treat a shard in another
-//! process (or on another machine) exactly like an in-process
+//! [`HttpFrontend`](crate::http::HttpFrontend), so a
+//! [`Router`](crate::Router) can treat a shard in another process (or on
+//! another machine) exactly like an in-process
 //! [`ShieldServer`](crate::server::ShieldServer).  Unlike the test-oriented
 //! [`MiniClient`](crate::http::MiniClient) it is built for an unreliable
 //! network:
@@ -24,13 +24,13 @@
 //! - **A per-shard circuit breaker.**  After
 //!   [`RemoteShardConfig::breaker_threshold`] consecutive failures the
 //!   breaker opens and requests fail fast with [`RemoteError::BreakerOpen`]
-//!   — letting the fleet fail over immediately instead of burning its
+//!   — letting the router fail over immediately instead of burning its
 //!   deadline budget on a shard known to be down.  After
 //!   [`RemoteShardConfig::breaker_cooldown`] one trial request is admitted
 //!   (half-open); success closes the breaker, failure re-opens it.  Health
-//!   probes ([`RemoteShard::probe`]) bypass admission but feed the same
-//!   state machine, so a recovered shard is healed by the prober without
-//!   sacrificing a live request.
+//!   probes (`deployment_generations`, `GET /healthz`) bypass admission
+//!   but feed the same state machine, so a recovered shard is healed by
+//!   the prober without sacrificing a live request.
 //!
 //! Each request uses a **fresh TCP connection** (no keep-alive pooling).
 //! This costs one handshake per request but makes the fault-injection
@@ -615,19 +615,30 @@ impl RemoteShard {
             error => Err(error),
         }
     }
+}
 
-    /// One *single-attempt* health probe: `GET /healthz`, no retries, no
+impl ShieldBackend for RemoteShard {
+    fn put_artifact(&self, name: &str, artifact: ShieldArtifact) -> Result<u64, ServeError> {
+        self.put_artifact_bytes(name, &artifact.to_bytes())
+    }
+
+    fn decide_batch(
+        &self,
+        name: &str,
+        states: &[Vec<f64>],
+    ) -> Result<Vec<ShieldDecision>, ServeError> {
+        self.decide_batch_remote(name, states)
+    }
+
+    fn backend_telemetry(&self, name: &str) -> Result<DeploymentTelemetry, ServeError> {
+        self.fetch_telemetry(name)
+    }
+
+    /// The health probe: one `GET /healthz` attempt, no retries, no
     /// breaker admission — but the outcome feeds the breaker, so a
     /// succeeding probe heals an open breaker without risking a live
     /// request.
-    ///
-    /// Returns the shard's uptime (seconds) and `(deployment, generation)`
-    /// pairs on success.
-    ///
-    /// # Errors
-    ///
-    /// The transport or protocol failure observed.
-    pub fn probe(&self) -> Result<(u64, Vec<(String, u64)>), RemoteError> {
+    fn deployment_generations(&self) -> Result<Vec<(String, u64)>, ServeError> {
         let outcome = self
             .attempt("GET", "/healthz", b"", "application/json")
             .and_then(|response| {
@@ -649,34 +660,8 @@ impl RemoteShard {
             Err(_) => self.breaker.on_failure(),
         }
         outcome
-    }
-}
-
-impl ShieldBackend for RemoteShard {
-    fn put_artifact(&self, name: &str, artifact: ShieldArtifact) -> Result<u64, ServeError> {
-        self.put_artifact_bytes(name, &artifact.to_bytes())
-    }
-
-    fn decide_batch(
-        &self,
-        name: &str,
-        states: &[Vec<f64>],
-    ) -> Result<Vec<ShieldDecision>, ServeError> {
-        self.decide_batch_remote(name, states)
-    }
-
-    fn backend_telemetry(&self, name: &str) -> Result<DeploymentTelemetry, ServeError> {
-        self.fetch_telemetry(name)
-    }
-
-    fn deployment_names(&self) -> Vec<String> {
-        self.probe()
-            .map(|(_, deployments)| deployments.into_iter().map(|(name, _)| name).collect())
-            .unwrap_or_default()
-    }
-
-    fn deployment_generations(&self) -> Vec<(String, u64)> {
-        self.probe().map(|(_, d)| d).unwrap_or_default()
+            .map(|(_uptime, deployments)| deployments)
+            .map_err(ServeError::Remote)
     }
 
     fn remove_deployment(&self, name: &str) -> Result<bool, ServeError> {
@@ -765,8 +750,8 @@ mod tests {
     #[test]
     fn probe_failure_and_success_drive_breaker() {
         let shard = RemoteShard::with_config(dead_addr(), fast_config());
-        assert!(shard.probe().is_err());
-        assert!(shard.probe().is_err());
+        assert!(shard.deployment_generations().is_err());
+        assert!(shard.deployment_generations().is_err());
         assert_eq!(shard.breaker_state(), BreakerState::Open);
     }
 }

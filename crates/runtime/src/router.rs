@@ -1,164 +1,88 @@
-//! Consistent-hash routing of deployments across shield-server shards.
+//! Replicated consistent-hash routing of deployments across shards.
 //!
-//! A [`ShardRouter`] spreads named deployments over N backend
-//! [`ShieldServer`] instances ("shards") by hashing the *deployment name* —
-//! every request for a deployment lands on the one shard that owns it, so
-//! shards never coordinate and per-deployment telemetry stays coherent.
-//! Shards are in-process servers today; because placement is by name and
-//! artifacts rehydrate from bytes alone, swapping a shard's `ShieldServer`
-//! for a remote socket later changes the transport, not the routing.
+//! A [`Router`] spreads named deployments over backend shards — any
+//! [`ShieldBackend`]: in-process [`ShieldServer`](crate::ShieldServer)s or
+//! [`RemoteShard`](crate::RemoteShard)s reached over the wire — and keeps
+//! each on `replicas` of them.  It implements [`ShieldBackend`] itself, so
+//! an [`HttpFrontend`](crate::HttpFrontend) serves a whole fleet behind one
+//! address.
 //!
-//! # Placement
+//! * **Replica sets.**  Rendezvous hashing on the deployment name
+//!   ([`replica_set`]): a deployment's replicas are the shards with the top
+//!   `fnv1a64(name ‖ 0xFF ‖ shard_index)` scores, best first.  Adding a
+//!   shard changes only the replica sets it enters.  Scores are keyed by
+//!   shard index, so a future `remove_shard` needs stable shard ids.
+//! * **Failover.**  `decide_batch` tries the replicas in rank order,
+//!   skipping shards marked down.  A transport failure
+//!   ([`ServeError::Remote`]) marks the shard down and moves on, as does a
+//!   shard that lost the deployment; any other answer is definitive.  A
+//!   success past the primary bumps `vrl_fleet_failovers_total`; when every
+//!   replica fails the caller gets [`ServeError::Unavailable`] (over HTTP a
+//!   `503` with `Retry-After`).
+//! * **Probing.**  [`Router::probe_now`] (or a background prober,
+//!   [`Router::with_probe_interval`]) asks each shard for its
+//!   [`deployment_generations`](ShieldBackend::deployment_generations),
+//!   marks it up or down by the answer, and pushes every deployment a live
+//!   shard should hold but does not list from the registry's canonical
+//!   artifact bytes (`vrl_fleet_rehydrations_total`).
+//! * **Growth.**  [`Router::add_shard`] deploys every deployment whose
+//!   replica set the new shard enters there from its bytes
+//!   (`vrl_router_rehydrations_total`) and removes it from the shard that
+//!   left the set.  A moved deployment's generation and counters restart.
+//! * **Telemetry.**  Each replica meters its own traffic; the router keeps
+//!   a ledger of the last snapshot fetched per `(deployment, shard)` and
+//!   sums replicas, live or from the ledger, so counters survive a shard
+//!   death.
 //!
-//! Two classic placement functions are provided ([`Placement`]):
-//!
-//! * **Rendezvous** (highest-random-weight, the default): each deployment
-//!   scores every shard with `fnv1a64(name ‖ 0xFF ‖ shard_index)` and lands
-//!   on the arg-max.  Adding shard `N` only reassigns the deployments whose
-//!   new top score is shard `N` — in expectation `1/(N+1)` of them — and
-//!   *every* unmoved deployment keeps its exact shard.
-//! * **Jump** (Lamping & Veach's jump consistent hash): `O(ln n)` time, no
-//!   per-shard scoring; the same only-`1/(N+1)`-keys-move guarantee when
-//!   shards are added at the end.
-//!
-//! # Rehydration
-//!
-//! The router keeps each deployment's canonical artifact *bytes* (the
-//! checksummed wire format of [`ShieldArtifact`]).  When
-//! [`add_shard`](ShardRouter::add_shard) grows the fleet, the deployments
-//! whose placement moved are rehydrated on their new shard from those bytes
-//! — exactly the ROADMAP's "a shard can rehydrate from bytes alone" — and
-//! undeployed from the old one.  A moved deployment's artifact generation
-//! restarts at 1 on the new shard (its counters start fresh too; the
-//! pre-move history stays in the totals reported until the move, not
-//! after).
+//! Requests resolve their replica set and call the shards under one read
+//! guard of the shard list, which `add_shard` write-locks, so no request
+//! sees a half-moved deployment.  Deploys and undeploys write-lock the
+//! registry while they reach the shards, so the two always agree.
 
 use crate::artifact::ShieldArtifact;
 use crate::codec::{fnv1a64, fnv1a64_continue};
-use crate::server::{ServeError, ShieldServer};
+use crate::http::ShieldBackend;
+use crate::server::ServeError;
 use crate::telemetry::DeploymentTelemetry;
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, RwLock};
+use std::thread::JoinHandle;
+use std::time::Duration;
 use vrl::shield::ShieldDecision;
 
-/// The consistent-hash placement function a [`ShardRouter`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Placement {
-    /// Rendezvous (highest-random-weight) hashing: deterministic arg-max
-    /// over per-shard scores.  Scores are keyed by shard *index*, so the
-    /// minimal-movement guarantee holds for appending shards (the only
-    /// fleet change [`ShardRouter`] performs today); removing a non-last
-    /// shard would renumber the shards after it and rescore them — a
-    /// future `remove_shard` needs stable shard identifiers first.
-    #[default]
-    Rendezvous,
-    /// Jump consistent hash (Lamping & Veach 2014): `O(ln n)`, minimal
-    /// movement when shards are appended.
-    Jump,
-}
+/// `Retry-After` advertised when every replica of a deployment fails.
+const RETRY_AFTER: Duration = Duration::from_secs(1);
 
-impl Placement {
-    /// The shard (0-based) that owns `name` in a fleet of `shards` shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn shard_for(&self, name: &str, shards: usize) -> usize {
-        assert!(shards > 0, "placement needs at least one shard");
-        match self {
-            Placement::Rendezvous => {
-                // Hash the name prefix once, then fold each shard's suffix
-                // onto it — equivalent to hashing `name ‖ 0xFF ‖ shard`
-                // per shard, without building any key buffer.
-                let prefix = fnv1a64_continue(fnv1a64(name.as_bytes()), &[0xFF]);
-                let mut best = (0usize, 0u64);
-                for shard in 0..shards {
-                    let score = fnv1a64_continue(prefix, &(shard as u64).to_le_bytes());
-                    if shard == 0 || score > best.1 {
-                        best = (shard, score);
-                    }
-                }
-                best.0
-            }
-            Placement::Jump => jump_consistent_hash(fnv1a64(name.as_bytes()), shards),
-        }
-    }
-
-    /// The first `count` shards that own `name`, best first — the replica
-    /// set for N-way replicated deployments ([`crate::fleet::FleetRouter`]
-    /// uses `count = 2`: primary plus failover).
-    ///
-    /// * **Rendezvous** has a natural notion of rank: shards sorted by
-    ///   score descending.  Removing the rank-1 shard promotes exactly the
-    ///   rank-2 shard, so the failover replica is stable under fleet
-    ///   growth the same way the primary is.
-    /// * **Jump** has no per-shard score, so replicas are the primary's
-    ///   successors `(primary + i) % shards` — simple and uniform, though
-    ///   without rendezvous's minimal-movement guarantee for the backups.
-    ///
-    /// Returns `min(count, shards)` distinct indices; element 0 always
-    /// equals [`Placement::shard_for`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn ranked_shards(&self, name: &str, shards: usize, count: usize) -> Vec<usize> {
-        assert!(shards > 0, "placement needs at least one shard");
-        let count = count.min(shards);
-        match self {
-            Placement::Rendezvous => {
-                let prefix = fnv1a64_continue(fnv1a64(name.as_bytes()), &[0xFF]);
-                let mut scored: Vec<(u64, usize)> = (0..shards)
-                    .map(|shard| {
-                        (
-                            fnv1a64_continue(prefix, &(shard as u64).to_le_bytes()),
-                            shard,
-                        )
-                    })
-                    .collect();
-                // Descending by score; ties (never observed with distinct
-                // indices) prefer the lower shard, matching `shard_for`.
-                scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-                scored.into_iter().take(count).map(|(_, s)| s).collect()
-            }
-            Placement::Jump => {
-                let primary = jump_consistent_hash(fnv1a64(name.as_bytes()), shards);
-                (0..count).map(|i| (primary + i) % shards).collect()
-            }
-        }
-    }
-}
-
-/// Jump consistent hash: maps `key` to a bucket in `0..buckets` such that
-/// growing `buckets` by one moves only `1/(buckets+1)` of the keys (and
-/// every moved key moves *to* the new bucket).
+/// The shards (0-based, best first) holding `name` in a fleet of `shards`
+/// shards: the top `min(replicas, shards)` rendezvous scores.
 ///
 /// # Panics
 ///
-/// Panics if `buckets == 0`.
-pub fn jump_consistent_hash(key: u64, buckets: usize) -> usize {
-    assert!(buckets > 0, "jump hash needs at least one bucket");
-    // The reference LCG walk from Lamping & Veach, "A Fast, Minimal Memory,
-    // Consistent Hash Algorithm".
-    let mut key = key;
-    let mut b: i64 = -1;
-    let mut j: i64 = 0;
-    while j < buckets as i64 {
-        b = j;
-        key = key.wrapping_mul(2862933555777941757).wrapping_add(1);
-        let r = ((key >> 33) + 1) as f64;
-        j = (((b + 1) as f64) * ((1u64 << 31) as f64 / r)) as i64;
-    }
-    b as usize
+/// Panics if `shards == 0` or `replicas == 0`.
+pub fn replica_set(name: &str, shards: usize, replicas: usize) -> Vec<usize> {
+    assert!(shards > 0, "placement needs at least one shard");
+    assert!(replicas > 0, "placement needs at least one replica");
+    // Hash the name prefix once, then fold each shard's suffix onto it —
+    // equivalent to hashing `name ‖ 0xFF ‖ shard` per shard.
+    let prefix = fnv1a64_continue(fnv1a64(name.as_bytes()), &[0xFF]);
+    let mut ranked: Vec<usize> = (0..shards).collect();
+    // Descending by score; the stable sort keeps ties (never observed) in
+    // shard order.
+    ranked.sort_by_key(|&shard| {
+        std::cmp::Reverse(fnv1a64_continue(prefix, &(shard as u64).to_le_bytes()))
+    });
+    ranked.truncate(replicas);
+    ranked
 }
 
-/// Aggregated serving totals for one shard (the sums over its deployments'
-/// [`DeploymentTelemetry`] counters).
+/// Serving totals for one shard: the sums over the deployment replicas it
+/// holds.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ShardTelemetry {
     /// Shard index.
     pub shard: usize,
-    /// Deployments currently owned by the shard.
+    /// Deployment replicas the shard holds.
     pub deployments: u64,
     /// Requests served across those deployments.
     pub requests: u64,
@@ -170,12 +94,13 @@ pub struct ShardTelemetry {
     pub redeploys: u64,
 }
 
-/// Fleet-wide telemetry: per-shard totals plus their sum.
+/// Fleet-wide telemetry: per-shard totals plus their sums.  With
+/// `replicas > 1` a deployment counts once per replica.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RouterTelemetry {
     /// One entry per shard, in shard order.
     pub per_shard: Vec<ShardTelemetry>,
-    /// Deployments across the fleet.
+    /// Deployment replicas across the fleet.
     pub deployments: u64,
     /// Requests across the fleet.
     pub requests: u64,
@@ -187,346 +112,588 @@ pub struct RouterTelemetry {
     pub redeploys: u64,
 }
 
-struct RouterState {
-    shards: Vec<Arc<ShieldServer>>,
-    /// Canonical artifact bytes per deployment — the rehydration source
-    /// when placement moves a deployment to a new shard.
-    registry: HashMap<String, Vec<u8>>,
+/// One shard plus its liveness flag.
+struct Shard<B> {
+    backend: B,
+    /// Flipped by the prober, and to down by transport failures; down
+    /// shards are skipped by live traffic.
+    up: AtomicBool,
 }
 
-/// Routes deployments across backend [`ShieldServer`] shards by consistent
-/// hashing on the deployment name.
-///
-/// The router is `Send + Sync`; share it behind an `Arc` (the HTTP
-/// front-end does exactly that via
-/// [`ShieldBackend`](crate::http::ShieldBackend)).
-pub struct ShardRouter {
-    state: RwLock<RouterState>,
-    placement: Placement,
-    workers_per_shard: usize,
-}
-
-impl std::fmt::Debug for ShardRouter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.state.read().expect("router lock never poisoned");
-        f.debug_struct("ShardRouter")
-            .field("shards", &state.shards.len())
-            .field("deployments", &state.registry.len())
-            .field("placement", &self.placement)
-            .finish()
-    }
-}
-
-impl ShardRouter {
-    /// A router over `shards` fresh in-process shards, each a
-    /// [`ShieldServer`] with `workers_per_shard` batch workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0` or `workers_per_shard == 0`.
-    pub fn new(shards: usize, workers_per_shard: usize, placement: Placement) -> Self {
-        assert!(shards > 0, "a router needs at least one shard");
-        ShardRouter {
-            state: RwLock::new(RouterState {
-                shards: (0..shards)
-                    .map(|_| Arc::new(ShieldServer::with_workers(workers_per_shard)))
-                    .collect(),
-                registry: HashMap::new(),
-            }),
-            placement,
-            workers_per_shard,
+impl<B> Shard<B> {
+    fn new(backend: B) -> Self {
+        Shard {
+            backend,
+            up: AtomicBool::new(true),
         }
     }
 
-    /// Number of shards currently in the fleet.
-    pub fn shard_count(&self) -> usize {
-        self.state
+    fn is_up(&self) -> bool {
+        self.up.load(Ordering::SeqCst)
+    }
+
+    fn set_up(&self, up: bool) {
+        self.up.store(up, Ordering::SeqCst);
+    }
+}
+
+/// What the registry knows about one deployment.
+struct Entry {
+    /// Canonical checksummed artifact bytes — the rehydration source.
+    bytes: Vec<u8>,
+    /// Highest generation any replica reported on the last deploy.
+    generation: u64,
+}
+
+/// Everything callers and the prober thread share.  Locks are taken in
+/// field order (shards, registry, ledger), never the other way round.
+struct Core<B> {
+    shards: RwLock<Vec<Shard<B>>>,
+    replicas: usize,
+    registry: RwLock<HashMap<String, Entry>>,
+    /// Last telemetry snapshot fetched per `(deployment, shard index)`.
+    ledger: Mutex<HashMap<(String, usize), DeploymentTelemetry>>,
+}
+
+/// Routes deployments across replicated shards — see the module docs.
+pub struct Router<B> {
+    core: Arc<Core<B>>,
+    /// The background prober's stop flag and thread.
+    prober: Option<(Arc<AtomicBool>, JoinHandle<()>)>,
+}
+
+impl<B: ShieldBackend> Core<B> {
+    fn replicas_for(&self, name: &str, shards: usize) -> Vec<usize> {
+        replica_set(name, shards, self.replicas)
+    }
+
+    /// The error for a request no replica could answer: unknown when the
+    /// registry has never heard of `name`, unavailable otherwise.  Must
+    /// not be called with the registry guard held.
+    fn no_replica(&self, name: &str, detail: String) -> ServeError {
+        let registered = self
+            .registry
             .read()
-            .expect("router lock never poisoned")
-            .shards
-            .len()
+            .expect("router lock poisoned")
+            .contains_key(name);
+        if registered {
+            unavailable(name, detail)
+        } else {
+            ServeError::UnknownDeployment(name.to_string())
+        }
     }
 
-    /// The shard that owns `name` under the current fleet size.
-    pub fn shard_for(&self, name: &str) -> usize {
-        self.placement.shard_for(name, self.shard_count())
+    /// Shard `index`'s telemetry for `name`: live when it answers, else
+    /// the ledger's last snapshot.
+    fn replica_telemetry(
+        &self,
+        shard: &Shard<B>,
+        index: usize,
+        name: &str,
+    ) -> Option<DeploymentTelemetry> {
+        let live = match shard.is_up().then(|| shard.backend.backend_telemetry(name)) {
+            Some(Ok(snapshot)) => Some(snapshot),
+            Some(Err(ServeError::Remote(_))) => {
+                shard.set_up(false);
+                None
+            }
+            _ => None,
+        };
+        let mut ledger = self.ledger.lock().expect("router lock poisoned");
+        let key = (name.to_string(), index);
+        match live {
+            Some(snapshot) => {
+                ledger.insert(key, snapshot.clone());
+                Some(snapshot)
+            }
+            None => ledger.get(&key).cloned(),
+        }
     }
 
-    /// Deploys (or hot-redeploys) `artifact` under `name` on its placed
-    /// shard, recording the canonical bytes for future rehydration.
-    /// Returns the generation now serving on the owning shard.
+    /// One synchronous probe cycle over every shard; returns liveness.
+    fn probe_cycle(&self) -> Vec<bool> {
+        let shards = self.shards.read().expect("router lock poisoned");
+        let liveness = shards
+            .iter()
+            .enumerate()
+            .map(|(index, shard)| {
+                let reported = shard.backend.deployment_generations();
+                let up = reported.is_ok();
+                crate::obs::fleet_probes(if up { "up" } else { "down" }).inc();
+                shard.set_up(up);
+                if let Ok(reported) = reported {
+                    self.rehydrate_missing(&shards, index, &reported);
+                }
+                up
+            })
+            .collect();
+        liveness
+    }
+
+    /// Pushes to shard `index` every deployment placed there that its
+    /// report does not list.
+    fn rehydrate_missing(&self, shards: &[Shard<B>], index: usize, reported: &[(String, u64)]) {
+        let registry = self.registry.read().expect("router lock poisoned");
+        for (name, entry) in registry.iter() {
+            if !self.replicas_for(name, shards.len()).contains(&index)
+                || reported.iter().any(|(listed, _)| listed == name)
+            {
+                continue;
+            }
+            let artifact = ShieldArtifact::from_bytes(&entry.bytes)
+                .expect("registry bytes were produced by to_bytes");
+            if shards[index].backend.put_artifact(name, artifact).is_ok() {
+                crate::obs::fleet_rehydrations().inc();
+            }
+        }
+    }
+}
+
+fn unavailable(name: &str, detail: String) -> ServeError {
+    crate::obs::fleet_unavailable().inc();
+    ServeError::Unavailable {
+        deployment: name.to_string(),
+        detail,
+        retry_after: RETRY_AFTER,
+    }
+}
+
+impl<B: ShieldBackend> Router<B> {
+    /// A router over `backends` keeping every deployment on `replicas` of
+    /// them (clamped to the fleet size), with no background prober.
+    /// Shards start marked up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `backends` is empty or `replicas == 0`.
+    pub fn new(backends: Vec<B>, replicas: usize) -> Self {
+        assert!(!backends.is_empty(), "a router needs at least one shard");
+        assert!(replicas > 0, "a router needs at least one replica");
+        Router {
+            core: Arc::new(Core {
+                shards: RwLock::new(backends.into_iter().map(Shard::new).collect()),
+                replicas,
+                registry: RwLock::new(HashMap::new()),
+                ledger: Mutex::new(HashMap::new()),
+            }),
+            prober: None,
+        }
+    }
+
+    /// Starts a background thread running [`Router::probe_now`] every
+    /// `interval` until the router is shut down or dropped.
+    #[must_use]
+    pub fn with_probe_interval(mut self, interval: Duration) -> Self {
+        self.stop_prober();
+        let core = Arc::clone(&self.core);
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = Arc::clone(&stop);
+        let handle = std::thread::Builder::new()
+            .name("vrl-router-probe".to_string())
+            .spawn(move || {
+                while !stopped.load(Ordering::SeqCst) {
+                    core.probe_cycle();
+                    // Sleep in small slices so shutdown is prompt even with
+                    // a long probe interval.
+                    let mut remaining = interval;
+                    while !remaining.is_zero() && !stopped.load(Ordering::SeqCst) {
+                        let slice = remaining.min(Duration::from_millis(20));
+                        std::thread::sleep(slice);
+                        remaining = remaining.saturating_sub(slice);
+                    }
+                }
+            })
+            .expect("spawn router prober");
+        self.prober = Some((stop, handle));
+        self
+    }
+
+    /// Number of shards in the fleet.
+    pub fn shard_count(&self) -> usize {
+        self.core.shards.read().expect("router lock poisoned").len()
+    }
+
+    /// The replica set (shard indices, best first) serving `name`.
+    pub fn replicas_for(&self, name: &str) -> Vec<usize> {
+        self.core.replicas_for(name, self.shard_count())
+    }
+
+    /// Per-shard liveness flags, in shard order.
+    pub fn shard_liveness(&self) -> Vec<bool> {
+        let shards = self.core.shards.read().expect("router lock poisoned");
+        shards.iter().map(Shard::is_up).collect()
+    }
+
+    /// Runs one probe cycle (what the background prober does each tick):
+    /// flips liveness flags and rehydrates missing deployments.  Returns
+    /// per-shard liveness after the cycle.
+    pub fn probe_now(&self) -> Vec<bool> {
+        self.core.probe_cycle()
+    }
+
+    /// Deploys (or hot-redeploys) `artifact` under `name` on every replica
+    /// and records its canonical bytes for rehydration.  Succeeds when at
+    /// least one replica accepted (the prober brings the others up to
+    /// date); returns the highest generation any replica reported.
     ///
     /// # Errors
     ///
-    /// Propagates the owning shard's validation
-    /// ([`ServeError::IncompatibleArtifact`] when a redeploy changes
-    /// dimensions).
+    /// A shard's own rejection (e.g. [`ServeError::IncompatibleArtifact`]
+    /// when a redeploy changes dimensions) as-is;
+    /// [`ServeError::Unavailable`] when no replica was reachable.
     pub fn deploy(&self, name: &str, artifact: ShieldArtifact) -> Result<u64, ServeError> {
         let bytes = artifact.to_bytes();
-        let mut state = self.state.write().expect("router lock never poisoned");
-        let shard = self.placement.shard_for(name, state.shards.len());
-        let generation = state.shards[shard].deploy_or_redeploy(name, artifact)?;
-        state.registry.insert(name.to_string(), bytes);
+        let shards = self.core.shards.read().expect("router lock poisoned");
+        let mut registry = self.core.registry.write().expect("router lock poisoned");
+        let replicas = self.core.replicas_for(name, shards.len());
+        let mut artifact = Some(artifact);
+        let mut generation: Option<u64> = None;
+        let mut detail = String::new();
+        for (rank, &index) in replicas.iter().enumerate() {
+            let copy = if rank + 1 == replicas.len() {
+                artifact.take()
+            } else {
+                artifact.clone()
+            }
+            .expect("one artifact per replica");
+            match shards[index].backend.put_artifact(name, copy) {
+                Ok(serving) => generation = Some(generation.map_or(serving, |g| g.max(serving))),
+                Err(ServeError::Remote(error)) => {
+                    shards[index].set_up(false);
+                    detail = error.to_string();
+                }
+                // The shard is alive and rejected the artifact; every
+                // replica would reject it the same way.
+                Err(error) => return Err(error),
+            }
+        }
+        let generation = generation.ok_or_else(|| unavailable(name, detail))?;
+        registry.insert(name.to_string(), Entry { bytes, generation });
         Ok(generation)
     }
 
-    /// Deploys from the checksummed wire bytes directly (what the HTTP
-    /// `PUT` endpoint carries).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Artifact`] when the bytes fail validation (checksum,
-    /// version, structure); otherwise as [`ShardRouter::deploy`].
-    pub fn deploy_bytes(&self, name: &str, bytes: &[u8]) -> Result<u64, ServeError> {
-        let artifact = ShieldArtifact::from_bytes(bytes)?;
-        self.deploy(name, artifact)
-    }
-
-    /// Removes a deployment from its shard and the registry; returns
-    /// whether it existed.
+    /// Removes a deployment from the registry and (best effort) from its
+    /// replicas; returns whether it was registered.
     pub fn undeploy(&self, name: &str) -> bool {
-        let mut state = self.state.write().expect("router lock never poisoned");
-        let shard = self.placement.shard_for(name, state.shards.len());
-        let existed = state.registry.remove(name).is_some();
-        let dropped = state.shards[shard].undeploy(name);
-        debug_assert_eq!(existed, dropped, "registry and shard agree on {name:?}");
+        let shards = self.core.shards.read().expect("router lock poisoned");
+        let mut registry = self.core.registry.write().expect("router lock poisoned");
+        let existed = registry.remove(name).is_some();
+        self.core
+            .ledger
+            .lock()
+            .expect("router lock poisoned")
+            .retain(|(deployment, _), _| deployment != name);
+        for index in self.core.replicas_for(name, shards.len()) {
+            // A shard that misses this keeps a stale copy nobody routes to.
+            let _ = shards[index].backend.remove_deployment(name);
+        }
         existed
     }
 
-    /// Names of all deployments across the fleet, sorted.
+    /// Names of all deployments, sorted.
     pub fn deployments(&self) -> Vec<String> {
-        let state = self.state.read().expect("router lock never poisoned");
-        let mut names: Vec<String> = state.registry.keys().cloned().collect();
+        let registry = self.core.registry.read().expect("router lock poisoned");
+        let mut names: Vec<String> = registry.keys().cloned().collect();
         names.sort();
         names
     }
 
-    fn owning_shard(&self, name: &str) -> (usize, Arc<ShieldServer>) {
-        let state = self.state.read().expect("router lock never poisoned");
-        let shard = self.placement.shard_for(name, state.shards.len());
-        (shard, Arc::clone(&state.shards[shard]))
-    }
-
-    /// Runs `op` against the owning shard, re-resolving placement and
-    /// retrying once if the shard reports an unknown deployment: an
-    /// [`add_shard`](ShardRouter::add_shard) landing between the caller's
-    /// placement resolution and execution moves the deployment to the new
-    /// shard, and without the retry that in-flight request would observe a
-    /// transient miss for a name that was continuously deployed.
-    fn with_owner<T>(
-        &self,
-        name: &str,
-        op: impl Fn(&ShieldServer) -> Result<T, ServeError>,
-    ) -> Result<T, ServeError> {
-        let (shard, server) = self.owning_shard(name);
-        crate::obs::router_shard_requests()
-            .with(&shard.to_string())
-            .inc();
-        match op(&server) {
-            Err(miss @ ServeError::UnknownDeployment(_)) => {
-                let (new_shard, new_server) = self.owning_shard(name);
-                if new_shard == shard {
-                    Err(miss)
-                } else {
-                    crate::obs::router_shard_requests()
-                        .with(&new_shard.to_string())
-                        .inc();
-                    op(&new_server)
-                }
-            }
-            result => result,
-        }
-    }
-
-    /// Algorithm 3 for one state, routed to the owning shard.
+    /// Algorithm 3 for one state — [`Router::decide_batch`] of one.
     ///
     /// # Errors
     ///
-    /// As [`ShieldServer::decide`].
+    /// As [`Router::decide_batch`].
     pub fn decide(&self, name: &str, state: &[f64]) -> Result<ShieldDecision, ServeError> {
-        self.with_owner(name, |shard| shard.decide(name, state))
+        let mut decisions = self.decide_batch(name, &[state.to_vec()])?;
+        Ok(decisions.pop().expect("one decision per state"))
     }
 
-    /// Batched decide, routed to the owning shard.
+    /// Decides a batch on the first replica that answers (see the module
+    /// docs for failover).
     ///
     /// # Errors
     ///
-    /// As [`ShieldServer::decide_batch`].
+    /// A replica's definitive answer (dimension mismatch, ...);
+    /// [`ServeError::UnknownDeployment`] for an unregistered name;
+    /// [`ServeError::Unavailable`] when every replica failed.
     pub fn decide_batch(
         &self,
         name: &str,
         states: &[Vec<f64>],
     ) -> Result<Vec<ShieldDecision>, ServeError> {
-        self.with_owner(name, |shard| shard.decide_batch(name, states))
-    }
-
-    /// A deployment's telemetry, from its owning shard.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::UnknownDeployment`] when no shard serves `name`.
-    pub fn telemetry(&self, name: &str) -> Result<DeploymentTelemetry, ServeError> {
-        self.with_owner(name, |shard| shard.telemetry(name))
-    }
-
-    /// The artifact generation serving a deployment, from its owning shard
-    /// (what `GET /healthz` reports per deployment).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::UnknownDeployment`] when no shard serves `name`.
-    pub fn generation(&self, name: &str) -> Result<u64, ServeError> {
-        self.with_owner(name, |shard| shard.generation(name))
-    }
-
-    /// Fleet-wide telemetry: each shard's per-deployment counters summed,
-    /// plus the cross-shard totals (which equal the per-shard sums by
-    /// construction — pinned by the router tests).
-    pub fn aggregate_telemetry(&self) -> RouterTelemetry {
-        let state = self.state.read().expect("router lock never poisoned");
-        let mut fleet = RouterTelemetry::default();
-        for (index, shard) in state.shards.iter().enumerate() {
-            let mut totals = ShardTelemetry {
-                shard: index,
-                ..ShardTelemetry::default()
-            };
-            for name in shard.deployments() {
-                let Ok(telemetry) = shard.telemetry(&name) else {
-                    continue;
-                };
-                totals.deployments += 1;
-                totals.requests += telemetry.requests;
-                totals.decisions += telemetry.decisions;
-                totals.interventions += telemetry.interventions;
-                totals.redeploys += telemetry.redeploys;
-            }
-            fleet.deployments += totals.deployments;
-            fleet.requests += totals.requests;
-            fleet.decisions += totals.decisions;
-            fleet.interventions += totals.interventions;
-            fleet.redeploys += totals.redeploys;
-            fleet.per_shard.push(totals);
-        }
-        fleet
-    }
-
-    /// Grows the fleet by one shard, rehydrating every deployment whose
-    /// placement moved onto the new shard from its canonical bytes (and
-    /// undeploying it from its old shard).  Returns the moved deployment
-    /// names, sorted — under both placement functions that is in
-    /// expectation `1/(N+1)` of the fleet, and every move targets the new
-    /// shard.
-    ///
-    /// Traffic continues throughout: requests for unmoved deployments are
-    /// untouched, and a moved deployment is deployed on its new shard
-    /// *before* the old copy is removed.  A request that resolved its
-    /// placement before this call and executes after it re-resolves and
-    /// retries once on a shard-level miss (see `with_owner`), so in-flight
-    /// traffic never observes a gap for a continuously-deployed name.
-    pub fn add_shard(&self) -> Vec<String> {
-        let mut state = self.state.write().expect("router lock never poisoned");
-        let old_count = state.shards.len();
-        let new_count = old_count + 1;
-        state
-            .shards
-            .push(Arc::new(ShieldServer::with_workers(self.workers_per_shard)));
-        let mut moved = Vec::new();
-        let names: Vec<String> = state.registry.keys().cloned().collect();
-        for name in names {
-            let old_shard = self.placement.shard_for(&name, old_count);
-            let new_shard = self.placement.shard_for(&name, new_count);
-            if old_shard == new_shard {
+        let shards = self.core.shards.read().expect("router lock poisoned");
+        let mut detail = String::from("all replicas marked down");
+        for (rank, index) in self
+            .core
+            .replicas_for(name, shards.len())
+            .into_iter()
+            .enumerate()
+        {
+            let shard = &shards[index];
+            if !shard.is_up() {
                 continue;
             }
-            debug_assert_eq!(
-                new_shard, old_count,
-                "consistent placement only ever moves keys to the new shard"
-            );
-            let bytes = state.registry[&name].clone();
-            let artifact = ShieldArtifact::from_bytes(&bytes)
-                .expect("registry bytes were produced by to_bytes and re-validated on deploy");
-            state.shards[new_shard]
-                .deploy_or_redeploy(&name, artifact)
-                .expect("a fresh shard accepts any valid artifact");
-            state.shards[old_shard].undeploy(&name);
-            crate::obs::router_rehydrations().inc();
-            moved.push(name);
+            crate::obs::router_shard_requests()
+                .with(&index.to_string())
+                .inc();
+            match shard.backend.decide_batch(name, states) {
+                Ok(decisions) => {
+                    if rank > 0 {
+                        crate::obs::fleet_failovers().inc();
+                    }
+                    return Ok(decisions);
+                }
+                Err(ServeError::Remote(error)) => {
+                    shard.set_up(false);
+                    detail = error.to_string();
+                }
+                Err(ServeError::UnknownDeployment(_)) => {
+                    detail = format!("shard {index} does not hold the deployment");
+                }
+                Err(error) => return Err(error),
+            }
+        }
+        Err(self.core.no_replica(name, detail))
+    }
+
+    /// A deployment's telemetry summed over its replicas (live or from the
+    /// ledger).
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::UnknownDeployment`] for an unregistered name;
+    /// [`ServeError::Unavailable`] when no replica answered or is cached.
+    pub fn telemetry(&self, name: &str) -> Result<DeploymentTelemetry, ServeError> {
+        let shards = self.core.shards.read().expect("router lock poisoned");
+        let parts: Vec<DeploymentTelemetry> = self
+            .core
+            .replicas_for(name, shards.len())
+            .into_iter()
+            .filter_map(|index| self.core.replica_telemetry(&shards[index], index, name))
+            .collect();
+        if parts.is_empty() {
+            return Err(self
+                .core
+                .no_replica(name, "no replica reachable or cached".to_string()));
+        }
+        Ok(sum_telemetry(&parts))
+    }
+
+    /// Fleet-wide telemetry: every shard's replica counters summed, plus
+    /// the cross-shard totals (equal to the per-shard sums).
+    pub fn aggregate_telemetry(&self) -> RouterTelemetry {
+        let shards = self.core.shards.read().expect("router lock poisoned");
+        let registry = self.core.registry.read().expect("router lock poisoned");
+        let mut per_shard: Vec<ShardTelemetry> = (0..shards.len())
+            .map(|shard| ShardTelemetry {
+                shard,
+                ..ShardTelemetry::default()
+            })
+            .collect();
+        for name in registry.keys() {
+            for index in self.core.replicas_for(name, shards.len()) {
+                let Some(t) = self.core.replica_telemetry(&shards[index], index, name) else {
+                    continue;
+                };
+                let totals = &mut per_shard[index];
+                totals.deployments += 1;
+                totals.requests += t.requests;
+                totals.decisions += t.decisions;
+                totals.interventions += t.interventions;
+                totals.redeploys += t.redeploys;
+            }
+        }
+        let sum = |field: fn(&ShardTelemetry) -> u64| per_shard.iter().map(field).sum();
+        RouterTelemetry {
+            deployments: sum(|s| s.deployments),
+            requests: sum(|s| s.requests),
+            decisions: sum(|s| s.decisions),
+            interventions: sum(|s| s.interventions),
+            redeploys: sum(|s| s.redeploys),
+            per_shard,
+        }
+    }
+
+    /// Grows the fleet by `backend`: every deployment whose replica set
+    /// the new shard enters is deployed there from its canonical bytes and
+    /// removed from the shard that left its set.  Returns the moved names,
+    /// sorted.  Requests wait for the move to finish (it holds the shard
+    /// list's write guard), so none sees a half-moved deployment.  A
+    /// deployment the new shard fails to accept is pushed again by the
+    /// next probe cycle.
+    pub fn add_shard(&self, backend: B) -> Vec<String> {
+        let mut shards = self.core.shards.write().expect("router lock poisoned");
+        let registry = self.core.registry.read().expect("router lock poisoned");
+        let before_count = shards.len();
+        shards.push(Shard::new(backend));
+        let mut moved = Vec::new();
+        for (name, entry) in registry.iter() {
+            let before = self.core.replicas_for(name, before_count);
+            let after = self.core.replicas_for(name, before_count + 1);
+            if before == after {
+                continue;
+            }
+            let artifact = ShieldArtifact::from_bytes(&entry.bytes)
+                .expect("registry bytes were produced by to_bytes");
+            for &index in after.iter().filter(|index| !before.contains(index)) {
+                if shards[index]
+                    .backend
+                    .put_artifact(name, artifact.clone())
+                    .is_ok()
+                {
+                    crate::obs::router_rehydrations().inc();
+                }
+            }
+            let mut ledger = self.core.ledger.lock().expect("router lock poisoned");
+            for &index in before.iter().filter(|index| !after.contains(index)) {
+                let _ = shards[index].backend.remove_deployment(name);
+                ledger.remove(&(name.clone(), index));
+            }
+            moved.push(name.clone());
         }
         moved.sort();
         moved
     }
+
+    /// Stops the background prober, if any.  Dropping the router does the
+    /// same; the explicit call makes teardown deterministic in tests.
+    pub fn shutdown(mut self) {
+        self.stop_prober();
+    }
+}
+
+impl<B> Router<B> {
+    fn stop_prober(&mut self) {
+        if let Some((stop, handle)) = self.prober.take() {
+            stop.store(true, Ordering::SeqCst);
+            let _ = handle.join();
+        }
+    }
+}
+
+impl<B> Drop for Router<B> {
+    fn drop(&mut self) {
+        self.stop_prober();
+    }
+}
+
+impl<B: ShieldBackend> ShieldBackend for Router<B> {
+    fn put_artifact(&self, name: &str, artifact: ShieldArtifact) -> Result<u64, ServeError> {
+        self.deploy(name, artifact)
+    }
+
+    fn decide_batch(
+        &self,
+        name: &str,
+        states: &[Vec<f64>],
+    ) -> Result<Vec<ShieldDecision>, ServeError> {
+        Router::decide_batch(self, name, states)
+    }
+
+    fn backend_telemetry(&self, name: &str) -> Result<DeploymentTelemetry, ServeError> {
+        self.telemetry(name)
+    }
+
+    fn deployment_generations(&self) -> Result<Vec<(String, u64)>, ServeError> {
+        let registry = self.core.registry.read().expect("router lock poisoned");
+        let mut pairs: Vec<(String, u64)> = registry
+            .iter()
+            .map(|(name, entry)| (name.clone(), entry.generation))
+            .collect();
+        pairs.sort();
+        Ok(pairs)
+    }
+
+    fn remove_deployment(&self, name: &str) -> Result<bool, ServeError> {
+        Ok(self.undeploy(name))
+    }
+}
+
+/// Sums replica telemetry into one snapshot: counters add, generation is
+/// the max, the intervention rate is recomputed from the summed counters,
+/// and latency percentiles come from the first part (they are not
+/// summable; every replica meters the same decide path).
+fn sum_telemetry(parts: &[DeploymentTelemetry]) -> DeploymentTelemetry {
+    let mut total = parts[0].clone();
+    for part in &parts[1..] {
+        total.generation = total.generation.max(part.generation);
+        total.requests += part.requests;
+        total.decisions += part.decisions;
+        total.interventions += part.interventions;
+        total.redeploys += part.redeploys;
+    }
+    if total.decisions > 0 {
+        total.intervention_rate = total.interventions as f64 / total.decisions as f64;
+    }
+    total
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::ShieldServer;
     use crate::testutil::toy_artifact;
     use std::collections::HashMap;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
 
-    #[test]
-    fn jump_hash_matches_reference_properties() {
-        // Bucket 0 is the only bucket for n = 1.
-        for key in 0..64u64 {
-            assert_eq!(jump_consistent_hash(key, 1), 0);
-        }
-        // Growing the bucket count never moves a key to an *old* bucket.
-        for key in 0..512u64 {
-            let mut previous = jump_consistent_hash(key, 1);
-            for buckets in 2..12 {
-                let next = jump_consistent_hash(key, buckets);
-                if next != previous {
-                    assert_eq!(next, buckets - 1, "key {key} moved to a non-new bucket");
-                }
-                previous = next;
-            }
-        }
+    fn in_process(shards: usize) -> Router<ShieldServer> {
+        Router::new(
+            (0..shards).map(|_| ShieldServer::with_workers(1)).collect(),
+            1,
+        )
     }
 
     #[test]
     fn placements_are_stable_and_spread() {
-        for placement in [Placement::Rendezvous, Placement::Jump] {
-            let mut counts = vec![0usize; 8];
-            for i in 0..400 {
-                let name = format!("deployment-{i}");
-                let a = placement.shard_for(&name, 8);
-                let b = placement.shard_for(&name, 8);
-                assert_eq!(a, b, "placement is deterministic");
-                counts[a] += 1;
-            }
-            // A crude spread check: no shard is empty, none hoards more
-            // than half the keys.
-            assert!(counts.iter().all(|&c| c > 0), "{placement:?}: {counts:?}");
-            assert!(counts.iter().all(|&c| c < 200), "{placement:?}: {counts:?}");
+        let mut counts = vec![0usize; 8];
+        for i in 0..400 {
+            let name = format!("deployment-{i}");
+            let a = replica_set(&name, 8, 1);
+            assert_eq!(a, replica_set(&name, 8, 1), "placement is deterministic");
+            counts[a[0]] += 1;
+        }
+        // A crude spread check: no shard is empty, none hoards more than
+        // half the keys.
+        assert!(counts.iter().all(|&c| c > 0 && c < 200), "{counts:?}");
+    }
+
+    #[test]
+    fn replica_sets_are_rank_stable_and_distinct() {
+        for name in ["pendulum", "cartpole", "satellite", "duffing"] {
+            let ranked = replica_set(name, 4, 2);
+            assert_eq!(ranked.len(), 2);
+            assert_ne!(ranked[0], ranked[1]);
+            assert_eq!(ranked[0], replica_set(name, 4, 1)[0]);
+            assert_eq!(replica_set(name, 1, 2), vec![0], "clamped to the fleet");
         }
     }
 
     #[test]
     fn adding_a_shard_moves_only_keys_bound_for_it() {
-        for placement in [Placement::Rendezvous, Placement::Jump] {
-            let names: Vec<String> = (0..300).map(|i| format!("d{i}")).collect();
-            for n in 1..8usize {
-                let mut moved = 0;
-                for name in &names {
-                    let before = placement.shard_for(name, n);
-                    let after = placement.shard_for(name, n + 1);
-                    if before != after {
-                        assert_eq!(after, n, "{placement:?}: moves only target the new shard");
-                        moved += 1;
-                    }
+        let names: Vec<String> = (0..300).map(|i| format!("d{i}")).collect();
+        for n in 1..8usize {
+            let mut moved = 0;
+            for name in &names {
+                let before = replica_set(name, n, 1)[0];
+                let after = replica_set(name, n + 1, 1)[0];
+                if before != after {
+                    assert_eq!(after, n, "moves only target the new shard");
+                    moved += 1;
                 }
-                // Expectation is names/(n+1); accept a generous band.
-                let expected = names.len() / (n + 1);
-                assert!(
-                    moved >= expected / 3 && moved <= expected * 3,
-                    "{placement:?} n={n}: moved {moved}, expected ≈{expected}"
-                );
             }
+            // Expectation is names/(n+1); accept a generous band.
+            let expected = names.len() / (n + 1);
+            assert!(
+                moved >= expected / 3 && moved <= expected * 3,
+                "n={n}: moved {moved}, expected ≈{expected}"
+            );
         }
     }
 
     #[test]
     fn router_routes_and_rehydrates_on_shard_addition() {
-        let router = ShardRouter::new(3, 1, Placement::Rendezvous);
+        let router = in_process(3);
         let names: Vec<String> = (0..12).map(|i| format!("toy-{i}")).collect();
         for (i, name) in names.iter().enumerate() {
             router.deploy(name, toy_artifact(i as u64)).unwrap();
@@ -537,9 +704,9 @@ mod tests {
             sorted
         });
         // Decisions are identical to a direct server over the same bytes.
-        let mut shard_of: HashMap<String, usize> = HashMap::new();
+        let mut shard_of: HashMap<String, Vec<usize>> = HashMap::new();
         for (i, name) in names.iter().enumerate() {
-            shard_of.insert(name.clone(), router.shard_for(name));
+            shard_of.insert(name.clone(), router.replicas_for(name));
             let direct = ShieldServer::with_workers(1);
             direct.deploy(name, toy_artifact(i as u64)).unwrap();
             for x in [-0.6, 0.0, 0.45] {
@@ -551,25 +718,22 @@ mod tests {
         }
         // Expected movers: exactly the names whose 4-shard placement is
         // the new shard 3.
-        let expected_moved: Vec<String> = {
-            let mut moved: Vec<String> = names
-                .iter()
-                .filter(|name| Placement::Rendezvous.shard_for(name, 4) == 3)
-                .cloned()
-                .collect();
-            moved.sort();
-            moved
-        };
-        let moved = router.add_shard();
+        let mut expected_moved: Vec<String> = names
+            .iter()
+            .filter(|name| replica_set(name, 4, 1) == [3])
+            .cloned()
+            .collect();
+        expected_moved.sort();
+        let moved = router.add_shard(ShieldServer::with_workers(1));
         assert_eq!(moved, expected_moved);
         assert_eq!(router.shard_count(), 4);
         // Unmoved deployments kept their shard; moved ones rehydrated and
         // still answer identically.
         for (i, name) in names.iter().enumerate() {
             if moved.contains(name) {
-                assert_eq!(router.shard_for(name), 3);
+                assert_eq!(router.replicas_for(name), [3]);
             } else {
-                assert_eq!(router.shard_for(name), shard_of[name]);
+                assert_eq!(router.replicas_for(name), shard_of[name]);
             }
             let direct = ShieldServer::with_workers(1);
             direct.deploy(name, toy_artifact(i as u64)).unwrap();
@@ -581,8 +745,56 @@ mod tests {
     }
 
     #[test]
+    fn add_shard_under_load_never_reports_an_unknown_deployment() {
+        let router = Arc::new(in_process(2));
+        let names: Vec<String> = (0..16).map(|i| format!("toy-{i}")).collect();
+        for (i, name) in names.iter().enumerate() {
+            router.deploy(name, toy_artifact(i as u64)).unwrap();
+        }
+        let stop = Arc::new(AtomicBool::new(false));
+        let served = Arc::new(AtomicUsize::new(0));
+        let started = Arc::new(Barrier::new(4));
+        let workers: Vec<_> = (0..3)
+            .map(|worker| {
+                let (router, names) = (Arc::clone(&router), names.clone());
+                let (stop, served, started) =
+                    (Arc::clone(&stop), Arc::clone(&served), Arc::clone(&started));
+                std::thread::spawn(move || {
+                    let states = vec![vec![0.1 * worker as f64]; 4];
+                    started.wait();
+                    while !stop.load(Ordering::SeqCst) {
+                        for name in &names {
+                            let decisions = router
+                                .decide_batch(name, &states)
+                                .unwrap_or_else(|e| panic!("{name} during add_shard: {e}"));
+                            assert_eq!(decisions.len(), states.len());
+                            served.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                })
+            })
+            .collect();
+        started.wait();
+        let mut moved = 0;
+        for _ in 0..4 {
+            // Traffic is in flight before, during, and after every move.
+            let before = served.load(Ordering::SeqCst);
+            moved += router.add_shard(ShieldServer::with_workers(1)).len();
+            while served.load(Ordering::SeqCst) < before + 2 * names.len() {
+                std::thread::yield_now();
+            }
+        }
+        stop.store(true, Ordering::SeqCst);
+        for worker in workers {
+            worker.join().expect("no request failed");
+        }
+        assert!(moved > 0, "growing 2 -> 6 shards moves some deployment");
+        assert_eq!(router.shard_count(), 6);
+    }
+
+    #[test]
     fn aggregate_telemetry_equals_per_shard_sums() {
-        let router = ShardRouter::new(3, 1, Placement::Rendezvous);
+        let router = in_process(3);
         let names: Vec<String> = (0..6).map(|i| format!("toy-{i}")).collect();
         for (i, name) in names.iter().enumerate() {
             router.deploy(name, toy_artifact(i as u64)).unwrap();
@@ -617,17 +829,13 @@ mod tests {
         assert_eq!(fleet.requests, 2 * names.len() as u64);
         assert_eq!(
             fleet.decisions,
-            names
-                .iter()
-                .enumerate()
-                .map(|(i, _)| 10 + 5 * i as u64 + 1)
-                .sum::<u64>()
+            (0..names.len() as u64).map(|i| 10 + 5 * i + 1).sum::<u64>()
         );
     }
 
     #[test]
     fn undeploy_and_redeploy_through_the_router() {
-        let router = ShardRouter::new(2, 1, Placement::Jump);
+        let router = in_process(2);
         assert_eq!(router.deploy("toy", toy_artifact(1)).unwrap(), 1);
         // PUT semantics: a second deploy of the same name is a hot redeploy.
         assert_eq!(router.deploy("toy", toy_artifact(2)).unwrap(), 2);
@@ -640,15 +848,48 @@ mod tests {
     }
 
     #[test]
-    fn deploy_bytes_validates_the_checksum() {
-        let router = ShardRouter::new(2, 1, Placement::Rendezvous);
-        let mut bytes = toy_artifact(3).to_bytes();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        assert!(matches!(
-            router.deploy_bytes("toy", &bytes),
-            Err(ServeError::Artifact(_))
-        ));
-        assert!(router.deployments().is_empty());
+    fn replicas_fail_over_and_sum_telemetry() {
+        let router = Router::new((0..3).map(|_| ShieldServer::with_workers(1)).collect(), 2);
+        router.deploy("toy", toy_artifact(4)).unwrap();
+        router.decide_batch("toy", &vec![vec![0.1]; 3]).unwrap();
+        // Fetching telemetry records the primary's counters in the ledger.
+        assert_eq!(router.telemetry("toy").unwrap().requests, 1);
+        // The primary loses the deployment: traffic fails over to the
+        // backup, and the next probe pushes it back.
+        let [primary, backup] = router.replicas_for("toy")[..] else {
+            panic!("two replicas");
+        };
+        assert!(router.core.shards.read().unwrap()[primary]
+            .backend
+            .undeploy("toy"));
+        router.decide_batch("toy", &vec![vec![0.1]; 3]).unwrap();
+        let t = router.telemetry("toy").unwrap();
+        assert_eq!((t.requests, t.decisions), (2, 6));
+        router.probe_now();
+        let shards = router.core.shards.read().unwrap();
+        assert!(shards[primary].backend.generation("toy").is_ok());
+        assert_eq!(shards[backup].backend.telemetry("toy").unwrap().requests, 1);
+    }
+
+    #[test]
+    fn telemetry_sums_counters_and_recomputes_rate() {
+        let part = |requests, decisions, interventions, generation| DeploymentTelemetry {
+            deployment: "pend".to_string(),
+            generation,
+            requests,
+            decisions,
+            interventions,
+            redeploys: 0,
+            intervention_rate: 0.0,
+            p50_latency: Duration::from_micros(10),
+            p99_latency: Duration::from_micros(50),
+        };
+        let total = sum_telemetry(&[part(10, 100, 5, 1), part(4, 60, 11, 3)]);
+        assert_eq!(total.requests, 14);
+        assert_eq!(total.decisions, 160);
+        assert_eq!(total.interventions, 16);
+        assert_eq!(total.generation, 3);
+        assert!((total.intervention_rate - 0.1).abs() < 1e-12);
+        assert_eq!(total.p50_latency, Duration::from_micros(10));
     }
 }

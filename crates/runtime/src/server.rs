@@ -333,7 +333,7 @@ impl ShieldServer {
 
     /// Deploys `artifact` under `name`, hot-replacing an existing deployment
     /// if there is one — HTTP `PUT` semantics, used by the network front-end
-    /// ([`crate::http`]) and the shard router ([`crate::ShardRouter`]).
+    /// ([`crate::http`]) and the router ([`crate::Router`]).
     /// Returns the generation now serving (1 for a fresh deployment).
     ///
     /// # Errors

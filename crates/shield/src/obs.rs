@@ -62,11 +62,19 @@ cegis_counter!(
     "vrl_shield_decide_table_fallbacks_total",
     "Shield decisions routed through the exact path from a boundary cell."
 );
-cegis_counter!(
-    decide_table_build_fallbacks,
-    "vrl_shield_decide_table_build_fallbacks_total",
-    "Decision-table builds that failed and fell back to the exact path."
-);
+
+/// Decision-table builds that failed and fell back to the exact path,
+/// labeled by the limit hit ([`crate::TableError::reason`]).
+pub(crate) fn decide_table_build_fallbacks() -> &'static CounterVec {
+    static HANDLE: LazyLock<&'static CounterVec> = LazyLock::new(|| {
+        registry().counter_vec(
+            "vrl_shield_decide_table_build_fallbacks_total",
+            "reason",
+            "Decision-table builds that failed and fell back to the exact path, by limit hit.",
+        )
+    });
+    *HANDLE
+}
 
 /// Per-class census of decision-table cells classified at build time
 /// (`class` is `covered`, `uncovered`, or `boundary`).
@@ -92,7 +100,11 @@ pub fn decide_table_traffic() -> u64 {
 /// path ([`crate::Shield::with_table_or_fallback`]) — a convenience for
 /// tests asserting graceful degradation on high-dimensional instances.
 pub fn decide_table_build_fallback_count() -> u64 {
-    decide_table_build_fallbacks().get()
+    decide_table_build_fallbacks()
+        .snapshot()
+        .iter()
+        .map(|(_, count)| count)
+        .sum()
 }
 
 /// Wall-clock duration of completed CEGIS runs (success or failure).
@@ -117,7 +129,15 @@ pub fn install_metrics() {
     let _ = cegis_seconds();
     let _ = decide_table_hits();
     let _ = decide_table_fallbacks();
-    let _ = decide_table_build_fallbacks();
+    for reason in [
+        "invalid_domain",
+        "resolution_mismatch",
+        "zero_resolution",
+        "too_many_cells",
+        "too_many_pieces",
+    ] {
+        let _ = decide_table_build_fallbacks().with(reason);
+    }
     for class in ["covered", "uncovered", "boundary"] {
         let _ = decide_table_cells(class);
     }
@@ -138,7 +158,7 @@ mod tests {
             "vrl_synth_cegis_seconds",
             "vrl_shield_decide_table_hits_total",
             "vrl_shield_decide_table_fallbacks_total",
-            "vrl_shield_decide_table_build_fallbacks_total",
+            "vrl_shield_decide_table_build_fallbacks_total{reason=\"too_many_cells\"}",
             "vrl_shield_decide_table_cells{class=\"covered\"}",
             "vrl_shield_decide_table_cells{class=\"uncovered\"}",
             "vrl_shield_decide_table_cells{class=\"boundary\"}",

@@ -164,20 +164,23 @@ impl Shield {
     /// Like [`Shield::with_table`], but degrades gracefully: when the table
     /// cannot be built (degenerate domain, over-budget grid — typical for
     /// high-dimensional state spaces where a dense grid cannot certify
-    /// anything), the shield is returned unchanged on the exact compiled
-    /// path, and the `vrl_shield_decide_table_build_fallbacks_total`
-    /// counter records the fallback.  Decisions are identical either way;
-    /// only their cost differs.
-    pub fn with_table_or_fallback(mut self, config: &TableConfig) -> Shield {
+    /// anything), the shield comes back unchanged on the exact compiled
+    /// path together with the [`TableError`] that names the limit hit, and
+    /// `vrl_shield_decide_table_build_fallbacks_total{reason}` records the
+    /// fallback.  Decisions are identical either way; only their cost
+    /// differs.
+    pub fn with_table_or_fallback(mut self, config: &TableConfig) -> (Shield, Option<TableError>) {
         match DecisionTable::build(&self.env, &self.pieces, config) {
             Ok(table) => {
                 self.table = Some(Arc::new(table));
-                self
+                (self, None)
             }
-            Err(_) => {
-                crate::obs::decide_table_build_fallbacks().inc();
+            Err(error) => {
+                crate::obs::decide_table_build_fallbacks()
+                    .with(error.reason())
+                    .inc();
                 self.table = None;
-                self
+                (self, Some(error))
             }
         }
     }

@@ -163,6 +163,20 @@ impl std::fmt::Display for TableError {
     }
 }
 
+impl TableError {
+    /// The limit this error names, as a metric label
+    /// (`vrl_shield_decide_table_build_fallbacks_total{reason=...}`).
+    pub fn reason(&self) -> &'static str {
+        match self {
+            TableError::InvalidDomain { .. } => "invalid_domain",
+            TableError::ResolutionMismatch { .. } => "resolution_mismatch",
+            TableError::ZeroResolution { .. } => "zero_resolution",
+            TableError::TooManyCells { .. } => "too_many_cells",
+            TableError::TooManyPieces { .. } => "too_many_pieces",
+        }
+    }
+}
+
 impl std::error::Error for TableError {}
 
 /// How a cell was classified at build time.

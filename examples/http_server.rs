@@ -1,7 +1,7 @@
 //! Networked shield serving, end to end: an HTTP front-end over a sharded
 //! fleet, driven by an in-process client.
 //!
-//! 1. Start a `ShardRouter` (3 shield-server shards, rendezvous placement)
+//! 1. Start a `Router` (3 shield-server shards, rendezvous placement)
 //!    behind the std-only HTTP/1.1 front-end on a loopback port.
 //! 2. `PUT` checksummed shield artifacts for two deployments over the wire.
 //! 3. `POST` single and batched decide requests — over the JSON codec and
@@ -26,12 +26,15 @@ use std::sync::Arc;
 use vrl::shield::TableConfig;
 use vrl_benchmarks::benchmark_by_name;
 use vrl_runtime::http::{HttpConfig, HttpFrontend, MiniClient, ShieldBackend};
-use vrl_runtime::{fixtures, frame, wire, Placement, ShardRouter};
+use vrl_runtime::{fixtures, frame, wire, Router, ShieldServer};
 
 fn main() {
     // A sharded backend: three in-process shield servers, deployments
     // consistent-hashed across them by name.
-    let router = Arc::new(ShardRouter::new(3, 1, Placement::Rendezvous));
+    let router = Arc::new(Router::new(
+        (0..3).map(|_| ShieldServer::with_workers(1)).collect(),
+        1,
+    ));
     let frontend = HttpFrontend::bind(
         "127.0.0.1:0",
         Arc::clone(&router) as Arc<dyn ShieldBackend>,
@@ -83,7 +86,7 @@ fn main() {
             "PUT /v1/deployments/{name} -> {} {} (shard {})",
             response.status,
             response.text(),
-            router.shard_for(name)
+            router.replicas_for(name)[0]
         );
     }
 
@@ -189,7 +192,7 @@ fn main() {
 
     // Grow the fleet: the consistent hash moves (in expectation) 1/4 of the
     // deployments — each rehydrated on the new shard from artifact bytes.
-    let moved = router.add_shard();
+    let moved = router.add_shard(ShieldServer::with_workers(1));
     println!(
         "added shard 3; rehydrated {:?} on it (everything else stayed put)",
         moved

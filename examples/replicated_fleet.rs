@@ -3,7 +3,7 @@
 //! 1. Start two shard processes (in-process [`ShieldServer`]s behind their
 //!    own HTTP front-ends on loopback ports) — stand-ins for shard
 //!    machines.
-//! 2. Build a [`FleetRouter`] over both addresses (replicas = 2, background
+//! 2. Build a [`Router`] over both addresses (replicas = 2, background
 //!    health prober on) and put an HTTP front-end in front of the fleet.
 //! 3. `PUT` the pendulum shield artifact once; the fleet writes it to
 //!    **both** replicas and records the canonical bytes for rehydration.
@@ -24,7 +24,7 @@ use std::time::Duration;
 use vrl_benchmarks::benchmark_by_name;
 use vrl_runtime::http::{HttpConfig, HttpFrontend, MiniClient, ShieldBackend};
 use vrl_runtime::wire::decode_decide_response;
-use vrl_runtime::{fixtures, FleetConfig, FleetRouter, ShieldServer};
+use vrl_runtime::{fixtures, RemoteShard, Router, ShieldServer};
 
 fn start_shard() -> HttpFrontend {
     HttpFrontend::bind(
@@ -49,13 +49,13 @@ fn main() {
 
     // The fleet: every deployment replicated on both shards, a background
     // prober flipping liveness and rehydrating restarted shards.
-    let fleet = Arc::new(FleetRouter::new(
-        &addrs,
-        FleetConfig {
-            probe_interval: Some(Duration::from_millis(200)),
-            ..FleetConfig::default()
-        },
-    ));
+    let fleet = Arc::new(
+        Router::new(
+            addrs.iter().map(|&addr| RemoteShard::new(addr)).collect(),
+            2,
+        )
+        .with_probe_interval(Duration::from_millis(200)),
+    );
     let frontend = HttpFrontend::bind(
         "127.0.0.1:0",
         Arc::clone(&fleet) as Arc<dyn ShieldBackend>,

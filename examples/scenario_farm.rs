@@ -1,6 +1,6 @@
 //! Scenario-farm transcript: generate the procedural environment families,
 //! push one cheap family through the multi-threaded CEGIS scheduler,
-//! mass-deploy the checkpointed artifacts into a `ShardRouter`, serve a
+//! mass-deploy the checkpointed artifacts into a `Router`, serve a
 //! decision from every shard, and scrape the live farm counters.
 //!
 //! Run with: `cargo run --release --example scenario_farm`
@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use vrl::dynamics::Policy;
 use vrl::shield::{CegisConfig, TableConfig};
 use vrl_farm::{generate, run_farm, FarmConfig, JobConfig, Scenario};
-use vrl_runtime::{Placement, ShardRouter};
+use vrl_runtime::{Router, ShieldServer};
 
 fn main() {
     vrl_farm::install_metrics();
@@ -60,8 +60,8 @@ fn main() {
 
     // Mass-deploy every checkpointed artifact and serve one decision per
     // deployment, bit-identical to deciding against the artifact locally.
-    let router = ShardRouter::new(3, 1, Placement::Jump);
-    let deployed = report.deploy_to_router(&router).expect("deploy");
+    let router = Router::new((0..3).map(|_| ShieldServer::with_workers(1)).collect(), 1);
+    let deployed = report.deploy_to(&router).expect("deploy");
     println!("deployed {deployed} artifacts across 3 shards");
     let mut served = 0usize;
     for record in &report.records {

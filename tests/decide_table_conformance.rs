@@ -29,7 +29,7 @@ use vrl::shield::{CellClass, DecisionTable, Shield, ShieldPiece, TableConfig};
 use vrl::synth::PolicyProgram;
 use vrl::verify::BarrierCertificate;
 use vrl_benchmarks::{all_benchmarks, benchmark_by_name};
-use vrl_runtime::{fixtures, Placement, ShardRouter, ShieldArtifact, ShieldServer};
+use vrl_runtime::{fixtures, Router, ShieldArtifact, ShieldServer};
 
 /// Per-benchmark shield geometry (same as the batch-conformance sweep): an
 /// ellipsoid at half the safe-box half-widths and mildly stabilizing
@@ -308,7 +308,7 @@ fn fleet_rehydration_keeps_table_dispatch_serving() {
     // serve identical decisions.
     let reference = ShieldServer::with_workers(1);
     reference.deploy("pendulum", plain).unwrap();
-    let router = ShardRouter::new(2, 1, Placement::Rendezvous);
+    let router = Router::new((0..2).map(|_| ShieldServer::with_workers(1)).collect(), 1);
     router.deploy("pendulum", tabled).unwrap();
 
     let mut rng = SmallRng::seed_from_u64(23);
@@ -331,7 +331,11 @@ fn fleet_rehydration_keeps_table_dispatch_serving() {
     // the decisions and the table dispatch.
     let mut moved = false;
     for _ in 0..16 {
-        if router.add_shard().iter().any(|m| m == "pendulum") {
+        if router
+            .add_shard(ShieldServer::with_workers(1))
+            .iter()
+            .any(|m| m == "pendulum")
+        {
             moved = true;
             break;
         }

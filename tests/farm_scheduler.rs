@@ -4,14 +4,14 @@
 //! job config produce the identical job set, identical outcomes, and
 //! byte-identical artifacts (checksummed) whether the pool runs one
 //! worker or many.  These tests pin that promise, then push a report's
-//! artifacts through a `ShardRouter` and serve from them.
+//! artifacts through a `Router` and serve from them.
 
 use std::collections::HashSet;
 use vrl::shield::{CegisConfig, TableConfig};
 use vrl_farm::{
     fnv1a64, generate, run_farm, scenario_by_id, FarmConfig, JobConfig, JobOutcome, Scenario,
 };
-use vrl_runtime::{Placement, ShardRouter};
+use vrl_runtime::{Router, ShieldServer};
 
 /// A seeded subset of scenarios cheap enough to synthesize in tests:
 /// quadcopter drags, Duffing dampings, and a two-car platoon.  Debug
@@ -113,17 +113,18 @@ fn one_thread_and_many_threads_produce_byte_identical_artifacts() {
 #[test]
 fn farm_reports_mass_deploy_and_serve_through_a_shard_router() {
     let subset = seeded_subset();
-    let jobs_before = vrl_farm::jobs_completed();
     let report = run_farm(&subset, &fast_config(), 3);
-    assert_eq!(
-        vrl_farm::jobs_completed() - jobs_before,
-        subset.len() as u64,
+    assert_eq!(report.records.len(), subset.len(), "one record per job");
+    // Every job reaches vrl_farm_jobs_total.  The counter is process-wide
+    // and shared with concurrently running tests, so only a floor holds.
+    assert!(
+        vrl_farm::jobs_completed() >= subset.len() as u64,
         "every job must be recorded in vrl_farm_jobs_total"
     );
     assert!(report.jobs_per_sec() > 0.0);
 
-    let router = ShardRouter::new(3, 1, Placement::Jump);
-    let deployed = report.deploy_to_router(&router).expect("deploy");
+    let router = Router::new((0..3).map(|_| ShieldServer::with_workers(1)).collect(), 1);
+    let deployed = report.deploy_to(&router).expect("deploy");
     assert_eq!(deployed, report.synthesized());
     assert!(deployed >= 1);
 

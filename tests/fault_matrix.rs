@@ -7,9 +7,9 @@
 //! Topology per scenario:
 //!
 //! ```text
-//!   FleetRouter ──► ChaosProxy ──► HttpFrontend(primary ShieldServer)
+//!   Router<RemoteShard> ──► ChaosProxy ──► HttpFrontend(primary ShieldServer)
 //!        │
-//!        └────────────────────────► HttpFrontend(backup ShieldServer)
+//!        └─────────────────────────────────► HttpFrontend(backup ShieldServer)
 //! ```
 //!
 //! The proxy always fronts the deployment's *primary* replica (computed
@@ -26,8 +26,7 @@ use vrl_benchmarks::benchmark_by_name;
 use vrl_runtime::fault::{ChaosProxy, Fault, FaultPlan};
 use vrl_runtime::http::{HttpConfig, HttpFrontend, MiniClient, ShieldBackend};
 use vrl_runtime::{
-    fixtures, FleetConfig, FleetRouter, Placement, RemoteShard, RemoteShardConfig, ShieldArtifact,
-    ShieldServer,
+    fixtures, replica_set, RemoteShard, RemoteShardConfig, Router, ShieldArtifact, ShieldServer,
 };
 
 fn pendulum_artifact(seed: u64) -> ShieldArtifact {
@@ -90,32 +89,27 @@ fn fast_shard_config() -> RemoteShardConfig {
     }
 }
 
-fn fleet_config() -> FleetConfig {
-    FleetConfig {
-        replicas: 2,
-        probe_interval: None,
-        shard_config: fast_shard_config(),
-        ..FleetConfig::default()
-    }
-}
-
 const DEPLOYMENT: &str = "pendulum";
 
 /// Shard indices `[primary, backup]` for the test deployment in a
 /// two-shard fleet — fixed by the placement function, computed up front so
 /// the chaos proxy can be wired in front of the primary.
 fn replica_order() -> [usize; 2] {
-    let ranked = Placement::Rendezvous.ranked_shards(DEPLOYMENT, 2, 2);
+    let ranked = replica_set(DEPLOYMENT, 2, 2);
     [ranked[0], ranked[1]]
 }
 
 /// Builds a two-replica fleet with `primary_addr` in the primary slot and
-/// `backup_addr` in the backup slot.
-fn build_fleet(primary_addr: SocketAddr, backup_addr: SocketAddr) -> FleetRouter {
+/// `backup_addr` in the backup slot, no background prober.
+fn build_fleet(primary_addr: SocketAddr, backup_addr: SocketAddr) -> Router<RemoteShard> {
     let [primary, _backup] = replica_order();
     let mut addrs = [backup_addr, backup_addr];
     addrs[primary] = primary_addr;
-    FleetRouter::new(&addrs, fleet_config())
+    let shards = addrs
+        .iter()
+        .map(|&addr| RemoteShard::with_config(addr, fast_shard_config()))
+        .collect();
+    Router::new(shards, 2)
 }
 
 /// The acceptance bound: a logical fleet request may spend at most one
@@ -438,7 +432,7 @@ fn probe_rehydrates_a_shard_that_lost_its_deployments() {
     let liveness = fleet.probe_now();
     assert!(liveness[primary_index], "wiped primary still probes up");
     let remote = RemoteShard::with_config(primary_addr, fast_shard_config());
-    let (_uptime, deployments) = remote.probe().expect("healthz");
+    let deployments = remote.deployment_generations().expect("healthz");
     assert_eq!(
         deployments
             .iter()
@@ -450,9 +444,9 @@ fn probe_rehydrates_a_shard_that_lost_its_deployments() {
 
     // A second probe cycle must push nothing (no generation churn): the
     // shard already reports the deployment.
-    let generation_before = remote.probe().unwrap().1[0].1;
+    let generation_before = remote.deployment_generations().unwrap()[0].1;
     fleet.probe_now();
-    let generation_after = remote.probe().unwrap().1[0].1;
+    let generation_after = remote.deployment_generations().unwrap()[0].1;
     assert_eq!(generation_before, generation_after, "no redeploy churn");
 
     fleet.shutdown();

@@ -2,7 +2,7 @@
 //! PUT-artifact → decide-batch → telemetry story over a real loopback
 //! socket, the wire-level error contract (structured 4xx for malformed,
 //! truncated, oversized, and wrong-dimension requests — never a panic or a
-//! dropped connection without a status), and HTTP-over-a-`ShardRouter`.
+//! dropped connection without a status), and HTTP over a `Router`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -11,7 +11,7 @@ use std::time::Duration;
 use vrl_benchmarks::benchmark_by_name;
 use vrl_runtime::http::{HttpConfig, HttpFrontend, MiniClient, ShieldBackend};
 use vrl_runtime::wire::Json;
-use vrl_runtime::{fixtures, Placement, ShardRouter, ShieldArtifact, ShieldServer};
+use vrl_runtime::{fixtures, replica_set, RemoteShard, Router, ShieldArtifact, ShieldServer};
 
 /// The pendulum demo deployment used throughout (the bench deployment, with
 /// a smaller oracle so debug-mode tests stay fast).
@@ -394,7 +394,10 @@ fn http_level_framing_errors_are_clean() {
 fn frontend_serves_a_shard_router() {
     // The same wire protocol over a sharded fleet: deployments land on
     // their placed shards and answer identically to a direct server.
-    let router = Arc::new(ShardRouter::new(3, 1, Placement::Rendezvous));
+    let router = Arc::new(Router::new(
+        (0..3).map(|_| ShieldServer::with_workers(1)).collect(),
+        1,
+    ));
     let frontend = start_frontend(Arc::clone(&router) as Arc<dyn ShieldBackend>);
     let mut client = MiniClient::connect(frontend.local_addr()).unwrap();
 
@@ -464,6 +467,69 @@ fn frontend_serves_a_shard_router() {
     assert_eq!(fleet.decisions, (names.len() * states.len()) as u64);
 
     frontend.shutdown();
+}
+
+#[test]
+fn add_shard_moves_deployments_across_a_remote_fleet() {
+    // A two-replica fleet of HTTP shards grows by a third: every moved
+    // deployment serves bit-identically from each shard of its new replica
+    // set, and a shard that left a replica set no longer lists the
+    // deployment in /healthz.
+    let shards: Vec<HttpFrontend> = (0..3)
+        .map(|_| start_frontend(Arc::new(ShieldServer::with_workers(1))))
+        .collect();
+    let addrs: Vec<_> = shards.iter().map(HttpFrontend::local_addr).collect();
+    let router = Router::new(
+        addrs[..2]
+            .iter()
+            .map(|&addr| RemoteShard::new(addr))
+            .collect(),
+        2,
+    );
+    let names: Vec<String> = (0..8).map(|i| format!("remote-{i}")).collect();
+    for (i, name) in names.iter().enumerate() {
+        router.deploy(name, pendulum_artifact(i as u64)).unwrap();
+    }
+
+    let moved = router.add_shard(RemoteShard::new(addrs[2]));
+    assert!(!moved.is_empty(), "the new shard enters some replica set");
+    let listed = |index: usize| -> Vec<String> {
+        let deployments = RemoteShard::new(addrs[index]).deployment_generations();
+        deployments
+            .expect("healthz")
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect()
+    };
+    assert_eq!(listed(2), moved, "the new shard holds exactly the movers");
+
+    let states = sample_states(24, 5);
+    for (i, name) in names.iter().enumerate() {
+        let replicas = router.replicas_for(name);
+        assert_eq!(replicas, replica_set(name, 3, 2));
+        assert_eq!(moved.contains(name), replicas.contains(&2), "{name}");
+        let direct = ShieldServer::with_workers(1);
+        direct.deploy(name, pendulum_artifact(i as u64)).unwrap();
+        let expected = direct.decide_batch(name, &states).unwrap();
+        for &index in &replicas {
+            let served = RemoteShard::new(addrs[index])
+                .decide_batch_remote(name, &states)
+                .unwrap_or_else(|e| panic!("{name} on shard {index}: {e}"));
+            assert_eq!(served, expected, "{name} on shard {index}");
+        }
+        assert_eq!(router.decide_batch(name, &states).unwrap(), expected);
+        for left in (0..2).filter(|index| !replicas.contains(index)) {
+            assert!(
+                !listed(left).contains(name),
+                "{name} left shard {left}'s replica set but is still listed"
+            );
+        }
+    }
+
+    router.shutdown();
+    for shard in shards {
+        shard.shutdown();
+    }
 }
 
 /// The distinct series names (metric name + labels stripped) in a
