@@ -1,11 +1,17 @@
 //! Regenerates Table 1: deterministic program synthesis, verification and
 //! shielding results for every benchmark.
 //!
+//! The benchmarks run in parallel, one per available core, and print in
+//! Table 1 order once all have finished; every column except the times and
+//! the time-derived overhead is the same at any core count.
+//!
 //! Usage: `table1 [--full] [--only NAME] [--episodes N] [--steps N]`
 
 use std::time::Instant;
 use vrl::pipeline::run_pipeline;
-use vrl_bench::{pipeline_config_for, print_table1_header, HarnessOptions};
+use vrl_bench::{
+    default_threads, pipeline_config_for, print_table1_header, run_jobs, HarnessOptions,
+};
 use vrl_benchmarks::all_benchmarks;
 
 fn main() {
@@ -15,16 +21,24 @@ fn main() {
         options.effort, options.episodes, options.steps
     );
     print_table1_header();
-    for spec in all_benchmarks() {
-        if let Some(only) = &options.only {
-            if !spec.name().eq_ignore_ascii_case(only) {
-                continue;
-            }
-        }
-        let env = spec.env().clone();
-        let config = pipeline_config_for(&spec, options.effort, options.episodes, options.steps);
+    let specs: Vec<_> = all_benchmarks()
+        .into_iter()
+        .filter(|spec| {
+            options
+                .only
+                .as_ref()
+                .is_none_or(|only| spec.name().eq_ignore_ascii_case(only))
+        })
+        .collect();
+    let results = run_jobs(&specs, default_threads(), |spec| {
+        let config = pipeline_config_for(spec, options.effort, options.episodes, options.steps);
         let start = Instant::now();
-        match run_pipeline(&env, &config) {
+        let result = run_pipeline(spec.env(), &config);
+        (result, start.elapsed())
+    });
+    for (spec, (result, elapsed)) in specs.iter().zip(results) {
+        let env = spec.env();
+        match result {
             Ok(outcome) => {
                 let e = &outcome.evaluation;
                 println!(
@@ -52,7 +66,7 @@ fn main() {
                     "{:<22} {:>4}  [shield synthesis failed after {:.1}s: {err}]",
                     spec.name(),
                     env.state_dim(),
-                    start.elapsed().as_secs_f64()
+                    elapsed.as_secs_f64()
                 );
             }
         }

@@ -7,6 +7,12 @@
 //! machine, the harness defaults to a scaled-down budget and accepts
 //! `--full` to reproduce the paper-scale workload.
 //!
+//! The table binaries run their per-benchmark jobs through [`run_jobs`], a
+//! scoped worker pool with one thread per available core that returns
+//! results in input order.  Every job seeds its own RNGs from its inputs,
+//! so a table's rows are the same at any thread count; only the time
+//! columns move (`taskset -c 0 table1` gives the 1-thread run).
+//!
 //! Beyond the paper tables, the serving-side benches (`eval_kernels`,
 //! `serve_throughput`, `serve_http`) record their headline numbers into
 //! `BENCH_eval.json` at the workspace root through
@@ -28,6 +34,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use vrl::pipeline::{OracleTrainer, PipelineConfig};
 use vrl::rl::ArsConfig;
 use vrl::shield::CegisConfig;
@@ -147,6 +154,67 @@ pub fn pipeline_config_for(
         evaluation_steps: steps,
         seed: 2019,
     }
+}
+
+/// Worker threads the table binaries use: one per core this process may
+/// run on (1 when that cannot be determined).
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Runs `job` on every element of `jobs` over a pool of `threads` scoped
+/// workers and returns the results in input order.
+///
+/// Workers claim the next unclaimed index until none is left, so which
+/// worker runs which job varies from run to run.  The results do not: as
+/// long as each job's result depends only on its own input (every RNG it
+/// uses is seeded from that input, and no wall-clock deadline cuts it
+/// short), the returned vector is the same at 1 thread and at N.  A job
+/// that panics propagates its panic to the caller once the pool drains.
+///
+/// # Panics
+///
+/// Panics if `threads == 0`.
+///
+/// # Example
+///
+/// ```
+/// let squares = vrl_bench::run_jobs(&[1u64, 2, 3, 4], 2, |x| x * x);
+/// assert_eq!(squares, vec![1, 4, 9, 16]);
+/// ```
+pub fn run_jobs<J: Sync, R: Send>(
+    jobs: &[J],
+    threads: usize,
+    job: impl Fn(&J) -> R + Sync,
+) -> Vec<R> {
+    assert!(threads > 0, "the job runner needs at least one worker");
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.min(jobs.len()))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(input) = jobs.get(index) else {
+                            return done;
+                        };
+                        done.push((index, job(input)));
+                    }
+                })
+            })
+            .collect();
+        let mut done: Vec<(usize, R)> = workers
+            .into_iter()
+            .flat_map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect();
+        done.sort_unstable_by_key(|&(index, _)| index);
+        done.into_iter().map(|(_, result)| result).collect()
+    })
 }
 
 /// Merges `sections` into the JSON object stored at `path`, preserving
@@ -354,6 +422,157 @@ mod tests {
         assert!(parse_top_level_sections("not json").is_none());
         assert!(parse_top_level_sections("").is_none());
         assert!(parse_top_level_sections("{\"unterminated\": ").is_none());
+    }
+
+    #[test]
+    fn run_jobs_returns_results_in_input_order_at_any_thread_count() {
+        let jobs: Vec<u64> = (0..37).collect();
+        // Uneven job costs so workers finish out of order.
+        let work = |&n: &u64| {
+            std::thread::sleep(std::time::Duration::from_micros((n * 7919) % 300));
+            n * n
+        };
+        let expected: Vec<u64> = jobs.iter().map(|n| n * n).collect();
+        for threads in [1, 2, 5, 8] {
+            assert_eq!(
+                run_jobs(&jobs, threads, work),
+                expected,
+                "{threads} threads"
+            );
+        }
+        assert!(run_jobs(&[] as &[u64], 3, work).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "job 3 failed")]
+    fn run_jobs_propagates_a_job_panic() {
+        run_jobs(&[1, 2, 3, 4], 2, |&n| {
+            assert!(n != 3, "job {n} failed");
+            n
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one worker")]
+    fn run_jobs_rejects_zero_threads() {
+        run_jobs(&[1u64], 0, |&n| n);
+    }
+
+    #[test]
+    fn run_jobs_runs_every_job_exactly_once() {
+        let runs: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
+        let indices: Vec<usize> = (0..runs.len()).collect();
+        for threads in [1, 3, 64] {
+            let echoed = run_jobs(&indices, threads, |&i| {
+                runs[i].fetch_add(1, Ordering::SeqCst);
+                i
+            });
+            assert_eq!(echoed, indices, "{threads} threads");
+        }
+        for (i, count) in runs.iter().enumerate() {
+            assert_eq!(count.load(Ordering::SeqCst), 3, "job {i}");
+        }
+    }
+
+    #[test]
+    fn run_jobs_starts_no_more_workers_than_jobs() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        let seen = Mutex::new(HashSet::new());
+        run_jobs(&[1, 2, 3], 16, |_| {
+            // Hold each job long enough that idle workers, had any been
+            // spawned, would have claimed a job too.
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            seen.lock().unwrap().insert(std::thread::current().id());
+        });
+        let workers = seen.into_inner().unwrap();
+        assert!((1..=3).contains(&workers.len()), "{workers:?}");
+        assert!(!workers.contains(&std::thread::current().id()));
+    }
+
+    #[test]
+    fn run_jobs_gives_duplicate_jobs_identical_results() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        // Each job seeds its RNG from its own input, as the table jobs do:
+        // repeated inputs get their own, identical, results.
+        let jobs = [7u64, 7, 11, 7, 11];
+        let draws = run_jobs(&jobs, 2, |&seed| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            (0..16)
+                .map(|_| rng.gen::<f64>().to_bits())
+                .collect::<Vec<u64>>()
+        });
+        assert_eq!(draws.len(), jobs.len());
+        assert_eq!(draws[0], draws[1]);
+        assert_eq!(draws[0], draws[3]);
+        assert_eq!(draws[2], draws[4]);
+        assert_ne!(draws[0], draws[2]);
+    }
+
+    #[test]
+    fn default_threads_matches_the_available_parallelism() {
+        let threads = default_threads();
+        assert!(threads >= 1);
+        if let Ok(available) = std::thread::available_parallelism() {
+            assert_eq!(threads, available.get());
+        }
+    }
+
+    #[test]
+    fn option_parsing_ignores_unknown_flags_and_malformed_numbers() {
+        let opts = HarnessOptions::from_args(
+            [
+                "--threads",
+                "4",
+                "--episodes",
+                "many",
+                "--steps",
+                "-3",
+                "--only",
+            ]
+            .iter()
+            .map(|s| s.to_string()),
+        );
+        assert_eq!(opts.effort, Effort::Quick);
+        assert_eq!(opts.episodes, 20, "a non-number keeps the default");
+        assert_eq!(opts.steps, 1000, "a negative count keeps the default");
+        assert_eq!(opts.only, None, "a trailing --only selects nothing");
+    }
+
+    #[test]
+    fn pipeline_configs_are_a_function_of_their_inputs() {
+        // The tables' determinism rests on every job deriving its whole
+        // configuration, seed included, from the benchmark alone.
+        for spec in vrl_benchmarks::all_benchmarks() {
+            for effort in [Effort::Quick, Effort::Full] {
+                let a = pipeline_config_for(&spec, effort, 10, 500);
+                let b = pipeline_config_for(&spec, effort, 10, 500);
+                assert_eq!(a, b, "{}", spec.name());
+                assert_eq!(a.seed, 2019, "{}", spec.name());
+            }
+        }
+    }
+
+    #[test]
+    fn full_effort_uses_each_benchmarks_paper_network_and_degree() {
+        for spec in vrl_benchmarks::all_benchmarks() {
+            let full = pipeline_config_for(&spec, Effort::Full, 1000, 5000);
+            assert_eq!(full.hidden_layers, spec.hidden_layers(), "{}", spec.name());
+            let quick = pipeline_config_for(&spec, Effort::Quick, 20, 1000);
+            for config in [&full, &quick] {
+                assert_eq!(
+                    config.cegis.verification.invariant_degree,
+                    spec.invariant_degree(),
+                    "{}",
+                    spec.name()
+                );
+            }
+            assert_eq!(
+                (quick.evaluation_episodes, quick.evaluation_steps),
+                (20, 1000)
+            );
+        }
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //! * **Probing.**  [`Router::probe_now`] (or a background prober,
 //!   [`Router::with_probe_interval`]) asks each shard for its
 //!   [`deployment_generations`](ShieldBackend::deployment_generations),
-//!   marks it up or down by the answer, and pushes every deployment a live
-//!   shard should hold but does not list from the registry's canonical
-//!   artifact bytes (`vrl_fleet_rehydrations_total`).
+//!   marks it up or down by the answer, and pushes to a live shard, from
+//!   the registry's canonical artifact bytes, every deployment it should
+//!   hold but does not list or whose current bytes it missed because it
+//!   failed the last deploy (`vrl_fleet_rehydrations_total`).
 //! * **Growth.**  [`Router::add_shard`] deploys every deployment whose
 //!   replica set the new shard enters there from its bytes
 //!   (`vrl_router_rehydrations_total`) and removes it from the shard that
@@ -32,7 +33,10 @@
 //! * **Telemetry.**  Each replica meters its own traffic; the router keeps
 //!   a ledger of the last snapshot fetched per `(deployment, shard)` and
 //!   sums replicas, live or from the ledger, so counters survive a shard
-//!   death.
+//!   death.  When a replica's live counters go backwards (it restarted
+//!   empty and was rehydrated), its previous snapshot is carried into the
+//!   ledger entry and added to every later one, so counters also survive
+//!   a restart that the ledger saw coming.
 //!
 //! Requests resolve their replica set and call the shards under one read
 //! guard of the shard list, which `add_shard` write-locks, so no request
@@ -143,6 +147,46 @@ struct Entry {
     bytes: Vec<u8>,
     /// Highest generation any replica reported on the last deploy.
     generation: u64,
+    /// Replicas (shard indices) that failed the last deploy and so may
+    /// still serve older bytes; the prober pushes `bytes` to each.
+    missed: Vec<usize>,
+}
+
+/// The ledger's record of one `(deployment, shard)` replica.
+struct LedgerEntry {
+    /// The last snapshot the replica answered.
+    last: DeploymentTelemetry,
+    /// Counters the replica had served before it restarted empty, summed
+    /// over restarts.
+    carried: Option<DeploymentTelemetry>,
+}
+
+impl LedgerEntry {
+    /// Records a live snapshot, first carrying the previous one when the
+    /// counters went backwards.
+    fn record(&mut self, snapshot: DeploymentTelemetry) {
+        if snapshot.requests < self.last.requests || snapshot.decisions < self.last.decisions {
+            let last = std::mem::replace(&mut self.last, snapshot);
+            self.carried = Some(match self.carried.take() {
+                Some(carried) => sum_telemetry(&[carried, last]),
+                None => last,
+            });
+        } else {
+            self.last = snapshot;
+        }
+    }
+
+    /// The replica's counters since it was first seen: the last snapshot
+    /// plus whatever restarts wiped.
+    fn view(&self) -> DeploymentTelemetry {
+        match &self.carried {
+            Some(carried) => DeploymentTelemetry {
+                generation: self.last.generation,
+                ..sum_telemetry(&[self.last.clone(), carried.clone()])
+            },
+            None => self.last.clone(),
+        }
+    }
 }
 
 /// Everything callers and the prober thread share.  Locks are taken in
@@ -151,8 +195,8 @@ struct Core<B> {
     shards: RwLock<Vec<Shard<B>>>,
     replicas: usize,
     registry: RwLock<HashMap<String, Entry>>,
-    /// Last telemetry snapshot fetched per `(deployment, shard index)`.
-    ledger: Mutex<HashMap<(String, usize), DeploymentTelemetry>>,
+    /// Telemetry per `(deployment, shard index)` replica.
+    ledger: Mutex<HashMap<(String, usize), LedgerEntry>>,
 }
 
 /// Routes deployments across replicated shards — see the module docs.
@@ -184,7 +228,7 @@ impl<B: ShieldBackend> Core<B> {
     }
 
     /// Shard `index`'s telemetry for `name`: live when it answers, else
-    /// the ledger's last snapshot.
+    /// the ledger's last snapshot, plus any counters a restart wiped.
     fn replica_telemetry(
         &self,
         shard: &Shard<B>,
@@ -201,13 +245,19 @@ impl<B: ShieldBackend> Core<B> {
         };
         let mut ledger = self.ledger.lock().expect("router lock poisoned");
         let key = (name.to_string(), index);
-        match live {
-            Some(snapshot) => {
-                ledger.insert(key, snapshot.clone());
-                Some(snapshot)
+        if let Some(snapshot) = live {
+            match ledger.get_mut(&key) {
+                Some(entry) => entry.record(snapshot),
+                None => {
+                    let entry = LedgerEntry {
+                        last: snapshot,
+                        carried: None,
+                    };
+                    ledger.insert(key.clone(), entry);
+                }
             }
-            None => ledger.get(&key).cloned(),
         }
+        ledger.get(&key).map(LedgerEntry::view)
     }
 
     /// One synchronous probe cycle over every shard; returns liveness.
@@ -222,7 +272,7 @@ impl<B: ShieldBackend> Core<B> {
                 crate::obs::fleet_probes(if up { "up" } else { "down" }).inc();
                 shard.set_up(up);
                 if let Ok(reported) = reported {
-                    self.rehydrate_missing(&shards, index, &reported);
+                    self.rehydrate(&shards, index, &reported);
                 }
                 up
             })
@@ -231,18 +281,19 @@ impl<B: ShieldBackend> Core<B> {
     }
 
     /// Pushes to shard `index` every deployment placed there that its
-    /// report does not list.
-    fn rehydrate_missing(&self, shards: &[Shard<B>], index: usize, reported: &[(String, u64)]) {
-        let registry = self.registry.read().expect("router lock poisoned");
-        for (name, entry) in registry.iter() {
-            if !self.replicas_for(name, shards.len()).contains(&index)
-                || reported.iter().any(|(listed, _)| listed == name)
-            {
+    /// report does not list or whose current bytes it missed.
+    fn rehydrate(&self, shards: &[Shard<B>], index: usize, reported: &[(String, u64)]) {
+        let mut registry = self.registry.write().expect("router lock poisoned");
+        for (name, entry) in registry.iter_mut() {
+            let current =
+                !entry.missed.contains(&index) && reported.iter().any(|(listed, _)| listed == name);
+            if current || !self.replicas_for(name, shards.len()).contains(&index) {
                 continue;
             }
             let artifact = ShieldArtifact::from_bytes(&entry.bytes)
                 .expect("registry bytes were produced by to_bytes");
             if shards[index].backend.put_artifact(name, artifact).is_ok() {
+                entry.missed.retain(|&missed| missed != index);
                 crate::obs::fleet_rehydrations().inc();
             }
         }
@@ -334,7 +385,8 @@ impl<B: ShieldBackend> Router<B> {
     /// Deploys (or hot-redeploys) `artifact` under `name` on every replica
     /// and records its canonical bytes for rehydration.  Succeeds when at
     /// least one replica accepted (the prober brings the others up to
-    /// date); returns the highest generation any replica reported.
+    /// date, including a replica that still serves an older version);
+    /// returns the highest generation any replica reported.
     ///
     /// # Errors
     ///
@@ -348,6 +400,7 @@ impl<B: ShieldBackend> Router<B> {
         let replicas = self.core.replicas_for(name, shards.len());
         let mut artifact = Some(artifact);
         let mut generation: Option<u64> = None;
+        let mut missed = Vec::new();
         let mut detail = String::new();
         for (rank, &index) in replicas.iter().enumerate() {
             let copy = if rank + 1 == replicas.len() {
@@ -360,6 +413,7 @@ impl<B: ShieldBackend> Router<B> {
                 Ok(serving) => generation = Some(generation.map_or(serving, |g| g.max(serving))),
                 Err(ServeError::Remote(error)) => {
                     shards[index].set_up(false);
+                    missed.push(index);
                     detail = error.to_string();
                 }
                 // The shard is alive and rejected the artifact; every
@@ -368,7 +422,12 @@ impl<B: ShieldBackend> Router<B> {
             }
         }
         let generation = generation.ok_or_else(|| unavailable(name, detail))?;
-        registry.insert(name.to_string(), Entry { bytes, generation });
+        let entry = Entry {
+            bytes,
+            generation,
+            missed,
+        };
+        registry.insert(name.to_string(), entry);
         Ok(generation)
     }
 
@@ -891,5 +950,144 @@ mod tests {
         assert_eq!(total.generation, 3);
         assert!((total.intervention_rate - 0.1).abs() < 1e-12);
         assert_eq!(total.p50_latency, Duration::from_micros(10));
+    }
+
+    #[test]
+    fn telemetry_survives_a_replica_that_restarted_empty() {
+        let router = Router::new((0..2).map(|_| ShieldServer::with_workers(1)).collect(), 2);
+        router.deploy("toy", toy_artifact(5)).unwrap();
+        for _ in 0..3 {
+            router.decide_batch("toy", &vec![vec![0.2]; 4]).unwrap();
+        }
+        assert_eq!(router.telemetry("toy").unwrap().requests, 3);
+        let primary = router.replicas_for("toy")[0];
+        assert!(router.core.shards.read().unwrap()[primary]
+            .backend
+            .undeploy("toy"));
+        // The probe rehydrates the primary with fresh counters.
+        router.probe_now();
+        let t = router.telemetry("toy").unwrap();
+        assert_eq!((t.requests, t.decisions), (3, 12));
+        router.decide("toy", &[0.1]).unwrap();
+        let t = router.telemetry("toy").unwrap();
+        assert_eq!((t.requests, t.decisions), (4, 13));
+    }
+
+    fn snapshot(generation: u64, requests: u64, decisions: u64) -> DeploymentTelemetry {
+        DeploymentTelemetry {
+            deployment: "toy".to_string(),
+            generation,
+            requests,
+            decisions,
+            interventions: decisions / 2,
+            redeploys: generation - 1,
+            intervention_rate: 0.5,
+            p50_latency: Duration::from_micros(10),
+            p99_latency: Duration::from_micros(50),
+        }
+    }
+
+    #[test]
+    fn ledger_keeps_the_latest_snapshot_while_counters_grow() {
+        let mut entry = LedgerEntry {
+            last: snapshot(1, 2, 20),
+            carried: None,
+        };
+        entry.record(snapshot(1, 5, 50));
+        // Equal counters (an idle replica) are not a restart either.
+        entry.record(snapshot(2, 5, 50));
+        assert!(entry.carried.is_none());
+        let view = entry.view();
+        assert_eq!((view.generation, view.requests, view.decisions), (2, 5, 50));
+    }
+
+    #[test]
+    fn ledger_carries_counters_across_a_restart() {
+        let mut entry = LedgerEntry {
+            last: snapshot(3, 4, 40),
+            carried: None,
+        };
+        // The replica restarted empty and was rehydrated at generation 1.
+        entry.record(snapshot(1, 0, 0));
+        let view = entry.view();
+        assert_eq!(
+            (view.requests, view.decisions, view.interventions),
+            (4, 40, 20)
+        );
+        assert_eq!(view.generation, 1, "the live generation is reported");
+        // Traffic after the restart adds on top of the carried counters.
+        entry.record(snapshot(1, 1, 10));
+        let view = entry.view();
+        assert_eq!(
+            (view.requests, view.decisions, view.interventions),
+            (5, 50, 25)
+        );
+        assert!((view.intervention_rate - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn ledger_accumulates_over_repeated_restarts() {
+        let mut entry = LedgerEntry {
+            last: snapshot(1, 3, 30),
+            carried: None,
+        };
+        entry.record(snapshot(1, 0, 0));
+        entry.record(snapshot(1, 2, 20));
+        entry.record(snapshot(1, 1, 4));
+        let view = entry.view();
+        assert_eq!((view.requests, view.decisions), (6, 54));
+    }
+
+    #[test]
+    fn deploys_accepted_everywhere_leave_no_replica_to_push() {
+        let router = Router::new((0..3).map(|_| ShieldServer::with_workers(1)).collect(), 2);
+        router.deploy("toy", toy_artifact(1)).unwrap();
+        router.deploy("toy", toy_artifact(2)).unwrap();
+        let registry = router.core.registry.read().unwrap();
+        assert!(registry["toy"].missed.is_empty());
+    }
+
+    #[test]
+    fn probe_pushes_current_bytes_only_to_a_replica_marked_missed() {
+        let router = Router::new((0..2).map(|_| ShieldServer::with_workers(1)).collect(), 2);
+        router.deploy("toy", toy_artifact(1)).unwrap();
+        let [primary, backup] = router.replicas_for("toy")[..] else {
+            panic!("two replicas");
+        };
+        // The primary serves other bytes than the registry holds, as after
+        // a redeploy it failed, and the registry records that it missed.
+        router.core.shards.read().unwrap()[primary]
+            .backend
+            .put_artifact("toy", toy_artifact(2))
+            .unwrap();
+        router
+            .core
+            .registry
+            .write()
+            .unwrap()
+            .get_mut("toy")
+            .unwrap()
+            .missed = vec![primary];
+
+        assert_eq!(router.probe_now(), vec![true, true]);
+        let shards = router.core.shards.read().unwrap();
+        assert_eq!(shards[primary].backend.generation("toy").unwrap(), 3);
+        assert_eq!(
+            shards[backup].backend.generation("toy").unwrap(),
+            1,
+            "a replica holding the current bytes is left alone"
+        );
+        let direct = ShieldServer::with_workers(1);
+        direct.deploy("toy", toy_artifact(1)).unwrap();
+        for x in [-0.6, 0.0, 0.45] {
+            assert_eq!(
+                shards[primary].backend.decide("toy", &[x]).unwrap(),
+                direct.decide("toy", &[x]).unwrap()
+            );
+        }
+        drop(shards);
+        assert!(router.core.registry.read().unwrap()["toy"]
+            .missed
+            .is_empty());
     }
 }

@@ -54,7 +54,7 @@ pub use cegis::{
     find_uncovered_initial_state, synthesize_shield, CegisConfig, CegisError, CegisReport,
 };
 pub use metrics::{evaluate_shielded_system, ShieldEvaluation};
-pub use obs::{decide_table_build_fallback_count, decide_table_traffic, install_metrics};
+pub use obs::{decide_table_traffic, install_metrics};
 pub use shield::{
     PortableShield, PortableShieldPiece, Shield, ShieldDecision, ShieldPiece, ShieldedPolicy,
 };

@@ -63,19 +63,6 @@ cegis_counter!(
     "Shield decisions routed through the exact path from a boundary cell."
 );
 
-/// Decision-table builds that failed and fell back to the exact path,
-/// labeled by the limit hit ([`crate::TableError::reason`]).
-pub(crate) fn decide_table_build_fallbacks() -> &'static CounterVec {
-    static HANDLE: LazyLock<&'static CounterVec> = LazyLock::new(|| {
-        registry().counter_vec(
-            "vrl_shield_decide_table_build_fallbacks_total",
-            "reason",
-            "Decision-table builds that failed and fell back to the exact path, by limit hit.",
-        )
-    });
-    *HANDLE
-}
-
 /// Per-class census of decision-table cells classified at build time
 /// (`class` is `covered`, `uncovered`, or `boundary`).
 pub(crate) fn decide_table_cells(class: &str) -> &'static Counter {
@@ -94,17 +81,6 @@ pub(crate) fn decide_table_cells(class: &str) -> &'static Counter {
 /// health checks that only need "is the table in the path at all?".
 pub fn decide_table_traffic() -> u64 {
     decide_table_hits().get() + decide_table_fallbacks().get()
-}
-
-/// Total decision-table builds that failed and fell back to the exact
-/// path ([`crate::Shield::with_table_or_fallback`]) — a convenience for
-/// tests asserting graceful degradation on high-dimensional instances.
-pub fn decide_table_build_fallback_count() -> u64 {
-    decide_table_build_fallbacks()
-        .snapshot()
-        .iter()
-        .map(|(_, count)| count)
-        .sum()
 }
 
 /// Wall-clock duration of completed CEGIS runs (success or failure).
@@ -129,15 +105,6 @@ pub fn install_metrics() {
     let _ = cegis_seconds();
     let _ = decide_table_hits();
     let _ = decide_table_fallbacks();
-    for reason in [
-        "invalid_domain",
-        "resolution_mismatch",
-        "zero_resolution",
-        "too_many_cells",
-        "too_many_pieces",
-    ] {
-        let _ = decide_table_build_fallbacks().with(reason);
-    }
     for class in ["covered", "uncovered", "boundary"] {
         let _ = decide_table_cells(class);
     }
@@ -158,7 +125,6 @@ mod tests {
             "vrl_synth_cegis_seconds",
             "vrl_shield_decide_table_hits_total",
             "vrl_shield_decide_table_fallbacks_total",
-            "vrl_shield_decide_table_build_fallbacks_total{reason=\"too_many_cells\"}",
             "vrl_shield_decide_table_cells{class=\"covered\"}",
             "vrl_shield_decide_table_cells{class=\"uncovered\"}",
             "vrl_shield_decide_table_cells{class=\"boundary\"}",

@@ -161,30 +161,6 @@ impl Shield {
         self
     }
 
-    /// Like [`Shield::with_table`], but degrades gracefully: when the table
-    /// cannot be built (degenerate domain, over-budget grid — typical for
-    /// high-dimensional state spaces where a dense grid cannot certify
-    /// anything), the shield comes back unchanged on the exact compiled
-    /// path together with the [`TableError`] that names the limit hit, and
-    /// `vrl_shield_decide_table_build_fallbacks_total{reason}` records the
-    /// fallback.  Decisions are identical either way; only their cost
-    /// differs.
-    pub fn with_table_or_fallback(mut self, config: &TableConfig) -> (Shield, Option<TableError>) {
-        match DecisionTable::build(&self.env, &self.pieces, config) {
-            Ok(table) => {
-                self.table = Some(Arc::new(table));
-                (self, None)
-            }
-            Err(error) => {
-                crate::obs::decide_table_build_fallbacks()
-                    .with(error.reason())
-                    .inc();
-                self.table = None;
-                (self, Some(error))
-            }
-        }
-    }
-
     /// The precomputed decision table, when one was built.
     pub fn table(&self) -> Option<&DecisionTable> {
         self.table.as_deref()
@@ -800,6 +776,39 @@ mod tests {
             stripped.decide(&[0.1], &[1.0]),
             exact.decide(&[0.1], &[1.0])
         );
+    }
+
+    #[test]
+    fn a_refused_table_build_names_its_limit() {
+        let config = crate::TableConfig {
+            max_cells: 10,
+            ..crate::TableConfig::uniform(64)
+        };
+        let error = toy_shield()
+            .with_table(&config)
+            .expect_err("64 cells exceed a cap of 10");
+        assert_eq!(
+            error,
+            crate::TableError::TooManyCells {
+                cells: 64,
+                max_cells: 10
+            }
+        );
+        assert_eq!(error.reason(), "too_many_cells");
+    }
+
+    #[test]
+    fn rebuilding_a_table_replaces_the_previous_one() {
+        let coarse = toy_shield()
+            .with_table(&crate::TableConfig::uniform(16))
+            .unwrap();
+        assert_eq!(coarse.table().unwrap().stats().cells, 16);
+        let fine = coarse.with_table(&crate::TableConfig::uniform(64)).unwrap();
+        assert_eq!(fine.table().unwrap().stats().cells, 64);
+        let exact = toy_shield();
+        for x in [-0.95, -0.3, 0.0, 0.42, 0.89] {
+            assert_eq!(fine.decide(&[x], &[3.0]), exact.decide(&[x], &[3.0]));
+        }
     }
 
     #[test]

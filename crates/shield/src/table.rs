@@ -164,8 +164,7 @@ impl std::fmt::Display for TableError {
 }
 
 impl TableError {
-    /// The limit this error names, as a metric label
-    /// (`vrl_shield_decide_table_build_fallbacks_total{reason=...}`).
+    /// The limit this error names, as a stable snake_case label.
     pub fn reason(&self) -> &'static str {
         match self {
             TableError::InvalidDomain { .. } => "invalid_domain",
@@ -714,6 +713,52 @@ mod tests {
         assert!(TableError::InvalidDomain { dim: 0 }
             .to_string()
             .contains("finite"));
+    }
+
+    fn every_table_error() -> [TableError; 5] {
+        [
+            TableError::InvalidDomain { dim: 4 },
+            TableError::ResolutionMismatch {
+                expected: 2,
+                got: 3,
+            },
+            TableError::ZeroResolution { dim: 7 },
+            TableError::TooManyCells {
+                cells: 1000,
+                max_cells: 100,
+            },
+            TableError::TooManyPieces { pieces: 300 },
+        ]
+    }
+
+    #[test]
+    fn table_errors_name_distinct_snake_case_limits() {
+        let reasons: std::collections::HashSet<&str> =
+            every_table_error().iter().map(TableError::reason).collect();
+        assert_eq!(reasons.len(), 5, "{reasons:?}");
+        for reason in reasons {
+            assert!(
+                !reason.is_empty() && reason.chars().all(|c| c.is_ascii_lowercase() || c == '_'),
+                "{reason}"
+            );
+        }
+    }
+
+    #[test]
+    fn table_errors_display_the_values_they_name() {
+        let expected: [&[&str]; 5] = [
+            &["dimension 4"],
+            &["3 entries", "2 dimensions"],
+            &["dimension 7"],
+            &["1000 cells", "cap of 100"],
+            &["300 pieces"],
+        ];
+        for (error, fragments) in every_table_error().iter().zip(expected) {
+            let text = error.to_string();
+            for fragment in fragments {
+                assert!(text.contains(fragment), "{text:?} lacks {fragment:?}");
+            }
+        }
     }
 
     #[test]

@@ -108,44 +108,7 @@ pub struct SharedQueryCacheStats {
     pub evictions: u64,
     /// Families currently resident across all shards.
     pub entries: usize,
-    /// Shard-lock acquisitions that found the lock already held (the
-    /// `try_lock` probe failed and the caller had to block).
-    pub contended_acquires: u64,
-    /// Nanoseconds spent blocked on shard locks by contended acquisitions
-    /// (uncontended acquisitions contribute zero).
-    pub lock_wait_ns: u64,
 }
-
-impl SharedQueryCacheStats {
-    /// Fraction of L2 lookups answered without recompiling (0 when none
-    /// were made).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Fraction of shard-lock acquisitions that had to block (0 when no
-    /// lookups were made).
-    pub fn contention_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.contended_acquires as f64 / total as f64
-        }
-    }
-}
-
-/// Process-wide contention tally for the L2 shard locks.  Kept outside the
-/// shards themselves: recording a contended acquisition must not require
-/// the very lock that was contended.
-static SHARED_CONTENDED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-/// Nanoseconds spent blocked on contended L2 shard-lock acquisitions.
-static SHARED_LOCK_WAIT_NS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 #[derive(Default)]
 struct SharedShard {
@@ -182,20 +145,14 @@ fn shard_for(key: &[u64]) -> usize {
 /// L2 lookup-or-compile for `key`/`polys` (the key must be
 /// `family_key(polys)`).
 fn shared_get_or_compile(key: &[u64], polys: &[&Polynomial]) -> Arc<CompiledPolySet> {
-    use std::sync::atomic::Ordering;
     let mutex = &SHARED_CACHE[shard_for(key)];
     // Probe with try_lock first so contention is observable: a failed probe
-    // means another thread holds this shard right now, and the blocking
-    // acquisition that follows is timed.
+    // means another thread holds this shard right now.
     let mut guard = match mutex.try_lock() {
         Ok(guard) => guard,
         Err(std::sync::TryLockError::WouldBlock) => {
-            SHARED_CONTENDED.fetch_add(1, Ordering::Relaxed);
             crate::obs::shared_cache_contended().inc();
-            let waited = std::time::Instant::now();
-            let guard = mutex.lock().expect("shared query cache shard poisoned");
-            SHARED_LOCK_WAIT_NS.fetch_add(waited.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            guard
+            mutex.lock().expect("shared query cache shard poisoned")
         }
         Err(std::sync::TryLockError::Poisoned(_)) => {
             panic!("shared query cache shard poisoned")
@@ -246,8 +203,6 @@ pub fn shared_query_cache_stats() -> SharedQueryCacheStats {
         stats.evictions += shard.evictions;
         stats.entries += shard.entries.len();
     }
-    stats.contended_acquires = SHARED_CONTENDED.load(std::sync::atomic::Ordering::Relaxed);
-    stats.lock_wait_ns = SHARED_LOCK_WAIT_NS.load(std::sync::atomic::Ordering::Relaxed);
     stats
 }
 
@@ -258,8 +213,6 @@ pub fn reset_shared_query_cache() {
         let mut shard = shard.lock().expect("shared query cache shard poisoned");
         *shard = SharedShard::default();
     }
-    SHARED_CONTENDED.store(0, std::sync::atomic::Ordering::Relaxed);
-    SHARED_LOCK_WAIT_NS.store(0, std::sync::atomic::Ordering::Relaxed);
 }
 
 /// A bounded, LRU-evicting cache of compiled query families.

@@ -5,9 +5,11 @@
 //!
 //! 1. A sweep over every Table 1 benchmark (state dimensions 2–8, mixed
 //!    action dimensions, obstacles): a ragged-resolution table is built per
-//!    benchmark and `decide` / `decide_batch` are compared decision-for-
-//!    decision against a table-free clone of the same shield on states
-//!    spanning inside, outside, and straddling the safe box.
+//!    benchmark and `decide` / `decide_batch` / `decide_exact` are compared
+//!    decision-for-decision against a table-free clone of the same shield
+//!    on states spanning inside, outside, and straddling the safe box.  A
+//!    dense uniform grid over the 16-D and 18-D benchmarks is refused with
+//!    a named error instead of being built.
 //! 2. Property tests over random shields, ragged resolutions, and edge /
 //!    corner states, including the structural guarantee that a boundary
 //!    cell is never answered by the table (`coverage` returns `None`).
@@ -25,7 +27,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use vrl::dynamics::{BoxRegion, EnvironmentContext, PolyDynamics, SafetySpec};
 use vrl::poly::Polynomial;
-use vrl::shield::{CellClass, DecisionTable, Shield, ShieldPiece, TableConfig};
+use vrl::shield::{CellClass, DecisionTable, Shield, ShieldPiece, TableConfig, TableError};
 use vrl::synth::PolicyProgram;
 use vrl::verify::BarrierCertificate;
 use vrl_benchmarks::{all_benchmarks, benchmark_by_name};
@@ -128,16 +130,25 @@ fn table_decisions_are_bit_identical_on_all_table1_benchmarks() {
             })
             .collect();
         for (state, proposed) in states.iter().zip(proposals.iter()) {
-            let fast = tabled.decide(state, proposed);
             let reference = exact.decide(state, proposed);
-            assert_eq!(fast.intervened, reference.intervened, "{name}: {state:?}");
-            assert_eq!(
-                fast.action.len(),
-                reference.action.len(),
-                "{name}: {state:?}"
-            );
-            for (a, b) in fast.action.iter().zip(reference.action.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{name}: {state:?}");
+            // The table path, and the table-bypassing reference path on
+            // the same tabled shield.
+            for candidate in [
+                tabled.decide(state, proposed),
+                tabled.decide_exact(state, proposed),
+            ] {
+                assert_eq!(
+                    candidate.intervened, reference.intervened,
+                    "{name}: {state:?}"
+                );
+                assert_eq!(
+                    candidate.action.len(),
+                    reference.action.len(),
+                    "{name}: {state:?}"
+                );
+                for (a, b) in candidate.action.iter().zip(reference.action.iter()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{name}: {state:?}");
+                }
             }
         }
         // The batched path partitions lanes through the same table.
@@ -154,6 +165,99 @@ fn table_decisions_are_bit_identical_on_all_table1_benchmarks() {
         total_certified > 0,
         "the sweep must certify at least some cells somewhere"
     );
+}
+
+#[test]
+fn dense_grids_over_the_high_dimensional_benchmarks_are_refused() {
+    // 8 cells per axis over 16 and 18 state dimensions is far past the
+    // cell cap: the build names the limit instead of allocating.
+    for name in ["car-platoon-8", "oscillator"] {
+        let env = benchmark_by_name(name)
+            .expect("Table 1 benchmark")
+            .into_env();
+        let error = demo_shield(&env)
+            .with_table(&TableConfig::uniform(8))
+            .expect_err("a dense 8^d grid must be refused");
+        assert!(
+            matches!(error, TableError::TooManyCells { .. }),
+            "{name}: {error}"
+        );
+        assert_eq!(error.reason(), "too_many_cells", "{name}");
+    }
+}
+
+#[test]
+fn dense_grids_build_over_the_two_dimensional_benchmarks() {
+    // The other side of the cell cap: 8 cells per axis over a 2-D state
+    // space is a 64-cell table that certifies cells and decides exactly.
+    let mut built = 0;
+    for spec in all_benchmarks() {
+        let name = spec.name();
+        let env = spec.into_env();
+        if env.state_dim() != 2 {
+            continue;
+        }
+        let tabled = demo_shield(&env)
+            .with_table(&TableConfig::uniform(8))
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(tabled.table().unwrap().stats().cells, 64, "{name}");
+        let exact = demo_shield(&env);
+        let mut rng = SmallRng::seed_from_u64(8100 + built as u64);
+        for state in probe_states(&env, &mut rng, 50) {
+            let proposed = vec![0.5; env.action_dim()];
+            assert_eq!(
+                tabled.decide(&state, &proposed),
+                exact.decide(&state, &proposed),
+                "{name}: {state:?}"
+            );
+        }
+        built += 1;
+    }
+    assert!(built >= 2, "Table 1 has several 2-D benchmarks");
+}
+
+#[test]
+fn every_table1_artifact_serves_identically_through_a_replicated_router() {
+    // The whole suite deployed at once over a replicated fleet: every
+    // deployment, dispatching through its table, answers exactly as its
+    // artifact decides locally.
+    use vrl::dynamics::Policy;
+    let router = Router::new((0..3).map(|_| ShieldServer::with_workers(1)).collect(), 2);
+    let mut deployed = Vec::new();
+    for (index, spec) in all_benchmarks().into_iter().enumerate() {
+        let name = spec.name().to_string();
+        let env = spec.into_env();
+        let config = TableConfig {
+            resolution: ragged_resolution(env.state_dim(), 512),
+            ..TableConfig::default()
+        };
+        let oracle = fixtures::demo_oracle(&env, &[8], index as u64);
+        let artifact = ShieldArtifact::new(demo_shield(&env), oracle)
+            .expect("the demo oracle is sized for its benchmark")
+            .with_table_config(config)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        router
+            .deploy(&name, artifact.clone())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        deployed.push((name, env, artifact));
+    }
+    assert_eq!(router.deployments().len(), 15);
+    for (index, (name, env, artifact)) in deployed.iter().enumerate() {
+        let mut rng = SmallRng::seed_from_u64(8200 + index as u64);
+        let states = probe_states(env, &mut rng, 20);
+        let served = router
+            .decide_batch(name, &states)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(served.len(), states.len());
+        for (state, decision) in states.iter().zip(&served) {
+            let proposed = artifact.oracle().action(state);
+            assert_eq!(
+                decision,
+                &artifact.shield().decide(state, &proposed),
+                "{name}: {state:?}"
+            );
+        }
+    }
 }
 
 /// A random 2-D double-integrator shield: ẋ = v, v̇ = a, ellipsoidal
@@ -287,6 +391,44 @@ fn artifact_round_trip_rebuilds_an_identical_table() {
     assert_eq!(original, rebuilt);
     assert_eq!(original.stats(), rebuilt.stats());
     assert_eq!(restored.table_config(), artifact.table_config());
+}
+
+#[test]
+fn artifacts_round_trip_bit_exactly_on_every_table1_benchmark() {
+    use vrl::dynamics::Policy;
+    for (index, spec) in all_benchmarks().into_iter().enumerate() {
+        let name = spec.name().to_string();
+        let env = spec.into_env();
+        let oracle = fixtures::demo_oracle(&env, &[8], 100 + index as u64);
+        let artifact = ShieldArtifact::new(demo_shield(&env), oracle)
+            .expect("the demo oracle is sized for its benchmark")
+            .with_label(&name)
+            .with_table_config(TableConfig {
+                resolution: ragged_resolution(env.state_dim(), 256),
+                ..TableConfig::default()
+            })
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let bytes = artifact.to_bytes();
+        let restored = ShieldArtifact::from_bytes(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+        // Canonical bytes are a fixed point of the round trip.
+        assert_eq!(restored.to_bytes(), bytes, "{name}");
+        assert_eq!(restored.label(), name);
+        assert_eq!(
+            restored.shield().table(),
+            artifact.shield().table(),
+            "{name}"
+        );
+        let mut rng = SmallRng::seed_from_u64(8300 + index as u64);
+        for state in probe_states(&env, &mut rng, 10) {
+            let proposed = artifact.oracle().action(&state);
+            assert_eq!(restored.oracle().action(&state), proposed, "{name}");
+            assert_eq!(
+                restored.shield().decide(&state, &proposed),
+                artifact.shield().decide(&state, &proposed),
+                "{name}: {state:?}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -453,3 +453,145 @@ fn probe_rehydrates_a_shard_that_lost_its_deployments() {
     primary_front.shutdown();
     backup_shard.shutdown();
 }
+
+#[test]
+fn probe_pushes_a_redeploy_to_the_replica_that_missed_it() {
+    // The primary answers 500 to every attempt of the v2 PUT, so the
+    // redeploy lands on the backup only. The primary still lists the
+    // deployment (at v1), and the next probe must push v2 to it anyway.
+    let primary_shard = start_shard();
+    let backup_shard = start_shard();
+    let plan = FaultPlan::new(vec![
+        Fault::Pass,      // v1 PUT
+        Fault::Status500, // v2 PUT, first attempt
+        Fault::Status500, // v2 PUT, retry 1
+        Fault::Status500, // v2 PUT, retry 2 (max_retries = 2)
+    ]);
+    let proxy = ChaosProxy::launch(primary_shard.local_addr(), plan).expect("proxy binds");
+    let fleet = build_fleet(proxy.addr(), backup_shard.local_addr());
+
+    fleet
+        .deploy(DEPLOYMENT, pendulum_artifact(17))
+        .expect("v1 reaches both replicas");
+    let v2 = pendulum_artifact(18);
+    let v2_bytes = v2.to_bytes();
+    fleet.deploy(DEPLOYMENT, v2).expect("the backup accepts v2");
+
+    let [primary_index, _] = replica_order();
+    assert!(fleet.probe_now()[primary_index], "the primary probes up");
+
+    let states = sample_states(50, 37);
+    let v1_decisions = direct_decisions(&pendulum_artifact(17).to_bytes(), &states);
+    let v2_decisions = direct_decisions(&v2_bytes, &states);
+    assert_ne!(
+        v1_decisions, v2_decisions,
+        "the versions must be told apart"
+    );
+    let served: Vec<(Vec<u64>, bool)> = fleet
+        .decide_batch(DEPLOYMENT, &states)
+        .expect("the primary serves")
+        .into_iter()
+        .map(|d| (d.action.iter().map(|v| v.to_bits()).collect(), d.intervened))
+        .collect();
+    assert_eq!(served, v2_decisions, "the primary still serves v1");
+
+    fleet.shutdown();
+    proxy.shutdown();
+    primary_shard.shutdown();
+    backup_shard.shutdown();
+}
+
+#[test]
+fn telemetry_survives_a_replica_that_restarted_empty() {
+    // Two requests land on the primary and the ledger sees them; then the
+    // primary forgets everything and the probe rehydrates it with fresh
+    // counters. The fleet's count must not drop back to zero.
+    let backup_shard = start_shard();
+    let primary_server = Arc::new(ShieldServer::with_workers(2));
+    let primary_front = HttpFrontend::bind(
+        "127.0.0.1:0",
+        Arc::clone(&primary_server) as Arc<dyn ShieldBackend>,
+        HttpConfig::default(),
+    )
+    .expect("primary binds");
+    let fleet = build_fleet(primary_front.local_addr(), backup_shard.local_addr());
+    fleet
+        .deploy(DEPLOYMENT, pendulum_artifact(17))
+        .expect("both replicas accept");
+
+    let states = sample_states(10, 41);
+    for _ in 0..2 {
+        fleet
+            .decide_batch(DEPLOYMENT, &states)
+            .expect("primary serves");
+    }
+    assert_eq!(fleet.telemetry(DEPLOYMENT).expect("telemetry").requests, 2);
+
+    assert!(primary_server.undeploy(DEPLOYMENT), "the restart");
+    fleet.probe_now();
+    assert_eq!(
+        primary_server
+            .telemetry(DEPLOYMENT)
+            .expect("rehydrated")
+            .requests,
+        0,
+        "the rehydrated primary starts with fresh counters"
+    );
+    let after = fleet.telemetry(DEPLOYMENT).expect("telemetry");
+    assert!(
+        after.requests >= 2,
+        "requests dropped to {}",
+        after.requests
+    );
+    assert_eq!(after.decisions, 20);
+
+    // Traffic after the restart adds on top of the carried counters.
+    fleet
+        .decide_batch(DEPLOYMENT, &states)
+        .expect("primary serves");
+    assert_eq!(fleet.telemetry(DEPLOYMENT).expect("telemetry").requests, 3);
+
+    fleet.shutdown();
+    primary_front.shutdown();
+    backup_shard.shutdown();
+}
+
+#[test]
+fn probe_leaves_a_replica_that_took_the_redeploy_alone() {
+    // Both replicas accept v2, so neither missed it: the probe must push
+    // nothing, leaving the primary at generation 2 and serving v2.
+    let backup_shard = start_shard();
+    let primary_server = Arc::new(ShieldServer::with_workers(2));
+    let primary_front = HttpFrontend::bind(
+        "127.0.0.1:0",
+        Arc::clone(&primary_server) as Arc<dyn ShieldBackend>,
+        HttpConfig::default(),
+    )
+    .expect("primary binds");
+    let fleet = build_fleet(primary_front.local_addr(), backup_shard.local_addr());
+    fleet
+        .deploy(DEPLOYMENT, pendulum_artifact(17))
+        .expect("v1 reaches both replicas");
+    let v2 = pendulum_artifact(18);
+    let v2_bytes = v2.to_bytes();
+    assert_eq!(fleet.deploy(DEPLOYMENT, v2).expect("v2 reaches both"), 2);
+
+    assert_eq!(fleet.probe_now(), vec![true, true]);
+    assert_eq!(
+        primary_server.generation(DEPLOYMENT).expect("deployed"),
+        2,
+        "an up-to-date replica is not redeployed"
+    );
+    let states = sample_states(30, 43);
+    let served: Vec<(Vec<u64>, bool)> = fleet
+        .decide_batch(DEPLOYMENT, &states)
+        .expect("the primary serves")
+        .into_iter()
+        .map(|d| (d.action.iter().map(|v| v.to_bits()).collect(), d.intervened))
+        .collect();
+    assert_eq!(served, direct_decisions(&v2_bytes, &states));
+
+    fleet.shutdown();
+    primary_front.shutdown();
+    backup_shard.shutdown();
+}
