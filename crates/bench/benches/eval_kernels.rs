@@ -533,7 +533,7 @@ fn write_results(
             scalar / batched,
         )
     };
-    let description = "\"Compiled evaluation kernels: reference (sparse BTreeMap) vs compiled (flat SoA) vs lane-batched (8-wide SoA sweeps) paths. Point/interval rows are seconds per 4096 evaluations of a dense degree-4, 4-variable polynomial (70 terms); branch_bound pendulum/cartpole rows are seconds per CEGIS-style induction query (these refute, so reference-vs-wave deltas mix kernel speed with which counterexample the traversal surfaces first; scalar_sec pops the same 8-box waves through the scalar interval kernel, batched_sec through the lane-batched kernel — identical outcomes); branch_bound_dense_proof is a traversal-invariant deep proof (identical box tree in every arm), isolating the kernels; query_cache is a 50x re-proof loop of the pendulum induction query through the per-thread CompiledQueryCache; serving rows are single-worker decisions/sec on the pendulum deployment with a [240, 200] oracle — scalar loops per-state decide, batch is decide_batch through the lane-batched dynamics-step + oracle + certificate kernels (bit-identical decisions); serve_http rows come from the serve_http bench (loopback HTTP front-end, keep-alive, batched JSON decide bodies).\"".to_string();
+    let description = "\"Compiled evaluation kernels: reference (sparse BTreeMap) vs compiled (flat SoA) vs lane-batched (8-wide SoA sweeps) paths. Point/interval rows are seconds per 4096 evaluations of a dense degree-4, 4-variable polynomial (70 terms); branch_bound pendulum/cartpole rows are seconds per CEGIS-style induction query (these refute, so reference-vs-wave deltas mix kernel speed with which counterexample the traversal surfaces first; scalar_sec pops the same 8-box waves through the scalar interval kernel, batched_sec through the lane-batched kernel — identical outcomes); branch_bound_dense_proof is a traversal-invariant deep proof (identical box tree in every arm), isolating the kernels; query_cache is a 50x re-proof loop of the pendulum induction query through the per-thread CompiledQueryCache; serving rows are single-worker decisions/sec on the pendulum deployment with a [240, 200] oracle — scalar loops per-state decide, batch is decide_batch through the lane-batched dynamics-step + oracle + certificate kernels (bit-identical decisions).\"".to_string();
     vrl_bench::upsert_bench_sections(
         path,
         &[

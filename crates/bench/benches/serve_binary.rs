@@ -1,6 +1,5 @@
-//! Binary-frame serving throughput: the same loopback workload as
-//! `serve_http` (pendulum deployment, `[240, 200]` oracle, keep-alive
-//! connection) driven over the length-prefixed frame codec, with the JSON
+//! Binary-frame serving throughput: a loopback workload (pendulum
+//! deployment, `[240, 200]` oracle, keep-alive connection) driven over the length-prefixed frame codec, with the JSON
 //! codec and the in-process path measured in the same run so the codec
 //! overhead reads directly off `BENCH_eval.json`.
 //!

@@ -1,16 +1,18 @@
-//! Per-connection scratch arenas for allocation-free steady-state serving.
+//! Per-connection scratch arenas: the buffers steady-state serving reuses
+//! across a connection's requests.
 //!
 //! Every keep-alive connection of the HTTP front-end owns one
-//! [`ConnScratch`]: the socket read buffer, the request body buffer, the
-//! response body buffer, and the decoded state matrix ([`StateArena`]) all
-//! live for the whole connection and are *reused* across requests.  After
-//! the first few requests warm the capacities up, the framing and codec
-//! layers of a decide request perform no heap allocation at all — the
-//! mempool discipline the binary wire codec was paired with (ROADMAP
-//! item 4).  Clients get the same treatment:
+//! [`ConnScratch`]: the socket read buffer, the request body, path and id
+//! buffers, the response head and body buffers, and the decoded state
+//! matrix ([`StateArena`]) all live for the whole connection and are
+//! *reused* across requests.  After the first few requests warm the
+//! capacities up, framing a decide request and encoding its response (JSON
+//! or binary) perform no heap allocation.  Decoding a JSON request still
+//! does: it builds a [`Json`](crate::wire::Json) DOM before the states
+//! land in the arena.  Clients get the same treatment:
 //! [`MiniClient`](crate::http::MiniClient) and
-//! [`RemoteShard`](crate::remote::RemoteShard) hold persistent read
-//! buffers instead of allocating one per response.
+//! [`RemoteShard`](crate::remote::RemoteShard) hold persistent head and
+//! read buffers instead of allocating them per request.
 //!
 //! The arena never shrinks.  That is deliberate: request sizes on one
 //! connection are strongly autocorrelated (a client that sent a 512-state
@@ -88,6 +90,13 @@ pub(crate) struct ConnScratch {
     pub(crate) read_buf: Vec<u8>,
     /// The current request's body.
     pub(crate) body: Vec<u8>,
+    /// The current request's path, without any query string.
+    pub(crate) path: String,
+    /// The current request's id: the client's `x-request-id` or a
+    /// generated one.
+    pub(crate) request_id: String,
+    /// Response head build buffer.
+    pub(crate) head: Vec<u8>,
     /// Response body build buffer, reclaimed after each write.
     pub(crate) out: Vec<u8>,
     /// Decoded state matrix for decide requests.

@@ -38,9 +38,20 @@
 //! decimal float formatting entirely.  The response body mirrors the
 //! request codec; error envelopes stay JSON on both paths with identical
 //! status/`code` semantics.  Every connection owns a scratch pool
-//! (read buffer, body buffer, response buffer, decoded state matrix —
-//! see `crate::arena`) reused across keep-alive requests, so
-//! steady-state framing and codec work is allocation-free.
+//! (read buffer, body buffer, request path and id, response head and
+//! body, decoded state matrix — see `crate::arena`) reused across
+//! keep-alive requests, so steady-state framing and response encoding
+//! allocate nothing.  What still allocates per decide: the JSON request
+//! decode builds a [`wire::Json`] DOM, the backend returns its decisions
+//! in a fresh `Vec`, and with observability on the request span copies
+//! its id.
+//!
+//! # One write per message
+//!
+//! Every HTTP message this crate sends — server responses, [`MiniClient`]
+//! requests, and [`RemoteShard`](crate::RemoteShard) requests — leaves in
+//! one vectored write of its head and body (`write_message`), so a
+//! reader on a `TCP_NODELAY` socket wakes once per message, not twice.
 //!
 //! # Request ids
 //!
@@ -59,13 +70,14 @@
 //! (deployments replicated across shards).  See the crate-level example
 //! and `examples/http_server.rs` for the end-to-end story.
 
-use crate::arena::{ConnScratch, StateArena};
+use crate::arena::ConnScratch;
 use crate::artifact::{ArtifactError, ShieldArtifact};
 use crate::frame;
 use crate::server::{ServeError, ShieldServer};
 use crate::telemetry::DeploymentTelemetry;
 use crate::wire::{self, WireError};
-use std::io::{Read, Write};
+use std::borrow::Cow;
+use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -278,7 +290,8 @@ fn accept_loop(
         let Ok(mut stream) = stream else { continue };
         handles.retain(|handle| !handle.is_finished());
         if active.load(Ordering::SeqCst) >= config.max_connections {
-            let request_id = generate_request_id();
+            let mut request_id = String::new();
+            generate_request_id(&mut request_id);
             let mut response = Response::error(
                 503,
                 "overloaded",
@@ -291,7 +304,7 @@ fn accept_loop(
             response.retry_after = Some(1);
             crate::obs::http_overload().inc();
             crate::obs::http_requests().with("503").inc();
-            let _ = write_response(&mut stream, &response, true, &request_id);
+            let _ = write_response(&mut stream, &mut Vec::new(), &response, true, &request_id);
             continue;
         }
         active.fetch_add(1, Ordering::SeqCst);
@@ -341,10 +354,9 @@ fn serve_connection(
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(config.idle_timeout));
     crate::obs::http_active_connections().add(1.0);
-    // One scratch pool for the whole keep-alive loop: the read buffer,
-    // body buffer, response buffer, and decoded state matrix are reused
-    // across requests, so steady-state serving allocates nothing in the
-    // framing and codec layers.
+    // One scratch pool for the whole keep-alive loop, reused across
+    // requests: framing and response encoding allocate nothing once it
+    // is warm (the module docs name what still allocates).
     let mut scratch = ConnScratch::default();
     loop {
         if stop.load(Ordering::SeqCst) {
@@ -352,27 +364,28 @@ fn serve_connection(
         }
         match read_request(&mut stream, &mut scratch, config) {
             Ok(Some(request)) => {
-                let close = request.close;
-                let request_id = request
-                    .request_id
-                    .clone()
-                    .unwrap_or_else(generate_request_id);
-                let ConnScratch {
-                    body, out, states, ..
-                } = &mut scratch;
+                if scratch.request_id.is_empty() {
+                    generate_request_id(&mut scratch.request_id);
+                }
                 let mut response = {
-                    let _span = vrl_obs::request_span("http.request", &request_id);
-                    dispatch(&request, body, states, out, backend, config, &request_id)
+                    let _span = vrl_obs::request_span("http.request", &scratch.request_id);
+                    dispatch(&request, &mut scratch, backend, config)
                 };
                 crate::obs::http_requests()
-                    .with(&response.status.to_string())
+                    .with(&status_label(response.status).0)
                     .inc();
-                let write_failed =
-                    write_response(&mut stream, &response, close, &request_id).is_err();
-                // Reclaim the response buffer (binary responses encode
+                let write_failed = write_response(
+                    &mut stream,
+                    &mut scratch.head,
+                    &response,
+                    request.close,
+                    &scratch.request_id,
+                )
+                .is_err();
+                // Reclaim the response buffer (decide responses encode
                 // straight into it) for the next request.
                 scratch.out = std::mem::take(&mut response.body);
-                if write_failed || close {
+                if write_failed || request.close {
                     break;
                 }
             }
@@ -380,13 +393,14 @@ fn serve_connection(
             // requests).
             Ok(None) => break,
             Err(reject) => {
-                let request_id = generate_request_id();
+                let request_id = &mut scratch.request_id;
+                generate_request_id(request_id);
                 let response =
-                    Response::error(reject.status, reject.code, &reject.message, &request_id);
+                    Response::error(reject.status, reject.code, &reject.message, request_id);
                 crate::obs::http_requests()
-                    .with(&reject.status.to_string())
+                    .with(&status_label(reject.status).0)
                     .inc();
-                let _ = write_response(&mut stream, &response, true, &request_id);
+                let _ = write_response(&mut stream, &mut scratch.head, &response, true, request_id);
                 break;
             }
         }
@@ -395,11 +409,12 @@ fn serve_connection(
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// A fresh `req-<16 hex>` id for a request that did not supply one (or a
-/// connection rejected before a request could be framed).  The id hashes a
-/// wall-clock timestamp with a process-wide sequence number, so ids are
-/// unique within a process and almost surely across a fleet.
-fn generate_request_id() -> String {
+/// Writes a fresh `req-<16 hex>` id into `out` (cleared first) for a
+/// request that did not supply one (or a connection rejected before a
+/// request could be framed).  The id hashes a wall-clock timestamp with a
+/// process-wide sequence number, so ids are unique within a process and
+/// almost surely across a fleet.
+fn generate_request_id(out: &mut String) {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     let sequence = NEXT.fetch_add(1, Ordering::Relaxed);
     let nanos = std::time::SystemTime::now()
@@ -409,7 +424,9 @@ fn generate_request_id() -> String {
     let mut key = [0u8; 16];
     key[..8].copy_from_slice(&nanos.to_le_bytes());
     key[8..].copy_from_slice(&sequence.to_le_bytes());
-    format!("req-{:016x}", crate::codec::fnv1a64(&key))
+    use std::fmt::Write as _;
+    out.clear();
+    let _ = write!(out, "req-{:016x}", crate::codec::fnv1a64(&key));
 }
 
 /// A client-supplied request id is honored only when it is non-empty,
@@ -420,16 +437,12 @@ fn valid_request_id(value: &str) -> bool {
     !value.is_empty() && value.len() <= 128 && value.bytes().all(|b| (0x21..=0x7e).contains(&b))
 }
 
-/// One framed request.  The body itself lives in the connection's
-/// [`ConnScratch::body`] buffer, not here — the head fields are all this
-/// struct carries.
+/// One framed request.  The body, the path (without any query string),
+/// and the client's valid `x-request-id` (empty when absent) live in the
+/// connection's [`ConnScratch`] buffers, not here.
 struct Request {
     method: Method,
-    /// Path split on '/', ignoring any query string.
-    segments: Vec<String>,
     close: bool,
-    /// The client's `x-request-id` header, when present and valid.
-    request_id: Option<String>,
     /// Whether `Content-Type` negotiated the binary frame codec
     /// ([`frame::CONTENT_TYPE_FRAME`]) for the decide endpoint.
     binary: bool,
@@ -464,9 +477,10 @@ impl Reject {
 
 /// Reads one request head + body into the connection scratch.  `Ok(None)`
 /// is a clean connection end: EOF or an idle timeout with no bytes of a new
-/// request read yet.  On success the body is in `scratch.body` and any
-/// pipelined bytes of the *next* request stay at the front of
-/// `scratch.read_buf`.
+/// request read yet.  On success the body is in `scratch.body`, the path
+/// in `scratch.path`, the client's request id (or nothing) in
+/// `scratch.request_id`, and any pipelined bytes of the *next* request
+/// stay at the front of `scratch.read_buf`.
 fn read_request(
     stream: &mut TcpStream,
     scratch: &mut ConnScratch,
@@ -515,9 +529,8 @@ fn read_request(
         }
     };
 
-    // Parse the head in place — every owned value (segments, request id)
-    // is extracted before the buffers are touched, so no per-request copy
-    // of the head is made.
+    // Parse the head in place; the path and request id are copied into
+    // their reused buffers before the read buffer is touched.
     let head = std::str::from_utf8(&buffer[..head_end])
         .map_err(|_| Reject::new(400, "bad_request", "request head is not valid UTF-8"))?;
     let mut lines = head.split("\r\n");
@@ -552,7 +565,7 @@ fn read_request(
     let mut has_length = false;
     let mut close = version == "HTTP/1.0";
     let mut expects_continue = false;
-    let mut request_id: Option<String> = None;
+    scratch.request_id.clear();
     let mut binary = false;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
@@ -591,7 +604,8 @@ fn read_request(
         {
             expects_continue = true;
         } else if name.eq_ignore_ascii_case("x-request-id") && valid_request_id(value) {
-            request_id = Some(value.to_string());
+            scratch.request_id.clear();
+            scratch.request_id.push_str(value);
         } else if name.eq_ignore_ascii_case("content-type") {
             // Media-type parameters (`; charset=...`) are tolerated; any
             // other content type falls back to the JSON codec.
@@ -605,12 +619,10 @@ fn read_request(
         }
     }
 
-    let path = target.split('?').next().unwrap_or_default();
-    let segments: Vec<String> = path
-        .split('/')
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect();
+    scratch.path.clear();
+    scratch
+        .path
+        .push_str(target.split('?').next().unwrap_or_default());
 
     if matches!(method, Method::Post | Method::Put) && !has_length {
         return Err(Reject::new(
@@ -631,7 +643,7 @@ fn read_request(
     }
     if expects_continue {
         // curl sends Expect: 100-continue for large artifact uploads.
-        let _ = stream.write_all(b"HTTP/1.1 100 Continue\r\n\r\n");
+        let _ = write_message(stream, b"HTTP/1.1 100 Continue\r\n\r\n", &[]);
     }
 
     // The body: whatever is already buffered past the head, then the rest
@@ -691,9 +703,7 @@ fn read_request(
 
     Ok(Some(Request {
         method,
-        segments,
         close,
-        request_id,
         binary,
     }))
 }
@@ -738,8 +748,8 @@ impl Response {
         }
     }
 
-    /// A `200` whose body is already-encoded bytes (binary decide
-    /// responses, taken from the connection's scratch buffer).
+    /// A `200` whose body is already-encoded bytes (decide responses,
+    /// taken from the connection's scratch buffer).
     fn ok_bytes(body: Vec<u8>, content_type: &'static str) -> Self {
         Response {
             status: 200,
@@ -759,50 +769,77 @@ impl Response {
     }
 }
 
-fn status_text(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        409 => "Conflict",
-        411 => "Length Required",
-        413 => "Payload Too Large",
-        422 => "Unprocessable Entity",
-        431 => "Request Header Fields Too Large",
-        500 => "Internal Server Error",
-        501 => "Not Implemented",
-        502 => "Bad Gateway",
-        503 => "Service Unavailable",
-        505 => "HTTP Version Not Supported",
-        _ => "Error",
-    }
+/// A status code's decimal spelling (the `vrl_http_requests_total` label,
+/// borrowed for every status the front-end produces) and its reason phrase.
+fn status_label(status: u16) -> (Cow<'static, str>, &'static str) {
+    let (code, reason) = match status {
+        200 => ("200", "OK"),
+        400 => ("400", "Bad Request"),
+        404 => ("404", "Not Found"),
+        405 => ("405", "Method Not Allowed"),
+        408 => ("408", "Request Timeout"),
+        409 => ("409", "Conflict"),
+        411 => ("411", "Length Required"),
+        413 => ("413", "Payload Too Large"),
+        422 => ("422", "Unprocessable Entity"),
+        431 => ("431", "Request Header Fields Too Large"),
+        500 => ("500", "Internal Server Error"),
+        501 => ("501", "Not Implemented"),
+        502 => ("502", "Bad Gateway"),
+        503 => ("503", "Service Unavailable"),
+        505 => ("505", "HTTP Version Not Supported"),
+        // A status relayed from a shard that this front-end never
+        // produces itself.
+        _ => return (Cow::Owned(status.to_string()), "Error"),
+    };
+    (Cow::Borrowed(code), reason)
 }
 
+/// Formats the response head into `head` (cleared first) and sends head
+/// and body in one write.
 fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
+    head: &mut Vec<u8>,
     response: &Response,
     close: bool,
     request_id: &str,
 ) -> std::io::Result<()> {
-    let retry_after = response
-        .retry_after
-        .map(|seconds| format!("retry-after: {seconds}\r\n"))
-        .unwrap_or_default();
-    let head = format!(
-        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\nx-request-id: {}\r\ncontent-length: {}\r\n{}connection: {}\r\n\r\n",
-        response.status,
-        status_text(response.status),
+    let (code, reason) = status_label(response.status);
+    head.clear();
+    write!(
+        head,
+        "HTTP/1.1 {code} {reason}\r\ncontent-type: {}\r\nx-request-id: {request_id}\r\ncontent-length: {}\r\n",
         response.content_type,
-        request_id,
         response.body.len(),
-        retry_after,
-        if close { "close" } else { "keep-alive" },
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&response.body)?;
-    stream.flush()
+    )?;
+    if let Some(seconds) = response.retry_after {
+        write!(head, "retry-after: {seconds}\r\n")?;
+    }
+    let connection = if close { "close" } else { "keep-alive" };
+    write!(head, "connection: {connection}\r\n\r\n")?;
+    write_message(stream, head, &response.body)
+}
+
+/// Sends one HTTP message, `head` then `body`, with vectored writes: one
+/// `writev` when the socket takes it all, as it does for every message
+/// that fits the send buffer.  Short writes resume where they stopped.
+pub(crate) fn write_message(w: &mut impl Write, head: &[u8], body: &[u8]) -> std::io::Result<()> {
+    let mut slices = [IoSlice::new(head), IoSlice::new(body)];
+    let mut remaining = &mut slices[..];
+    while !remaining.is_empty() {
+        match w.write_vectored(remaining) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "failed to write the whole HTTP message",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut remaining, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    w.flush()
 }
 
 /// Maps a serving-layer failure to its HTTP status.
@@ -901,17 +938,32 @@ fn serve_error_response(error: &ServeError, request_id: &str) -> Response {
     response
 }
 
+/// Routes one framed request and builds its response; decide responses
+/// are encoded into `scratch.out`.
 fn dispatch(
     request: &Request,
-    body: &[u8],
-    states: &mut StateArena,
-    out: &mut Vec<u8>,
+    scratch: &mut ConnScratch,
     backend: &dyn ShieldBackend,
     config: &HttpConfig,
-    request_id: &str,
 ) -> Response {
-    let segments: Vec<&str> = request.segments.iter().map(String::as_str).collect();
-    match (request.method, segments.as_slice()) {
+    let ConnScratch {
+        path,
+        request_id,
+        body,
+        out,
+        states,
+        ..
+    } = scratch;
+    // Every route has at most four segments, so a fifth slot is enough to
+    // make any longer path match none of them.
+    let mut parts = [""; 5];
+    let mut count = 0;
+    for segment in path.split('/').filter(|s| !s.is_empty()).take(parts.len()) {
+        parts[count] = segment;
+        count += 1;
+    }
+    let segments = &parts[..count];
+    match (request.method, segments) {
         (Method::Get, ["healthz"]) => match backend.deployment_generations() {
             Ok(generations) => Response::ok(wire::health_response(
                 &generations,
@@ -953,13 +1005,16 @@ fn dispatch(
                 }
                 Ok(decisions) => {
                     let encode_start = observing.then(Instant::now);
-                    // The response codec mirrors the request codec.
-                    let response = if request.binary {
+                    // The response codec mirrors the request codec; both
+                    // encode straight into the connection's reused buffer.
+                    let content_type = if request.binary {
                         frame::encode_decide_response_into(&decisions, batched, out);
-                        Response::ok_bytes(std::mem::take(out), frame::CONTENT_TYPE_FRAME)
+                        frame::CONTENT_TYPE_FRAME
                     } else {
-                        Response::ok(wire::decide_response(name, &decisions, batched))
+                        wire::decide_response_into(name, &decisions, batched, out);
+                        CONTENT_TYPE_JSON
                     };
+                    let response = Response::ok_bytes(std::mem::take(out), content_type);
                     if let Some(start) = encode_start {
                         crate::obs::codec_phase_latency()
                             .with("encode")
@@ -1000,7 +1055,7 @@ fn dispatch(
                 Err(e) => serve_error_response(&e, request_id),
             }
         }
-        _ if known_path_wrong_method(request.method, &segments) => Response::error(
+        _ if known_path_wrong_method(request.method, segments) => Response::error(
             405,
             "method_not_allowed",
             "this path exists but not for this method",
@@ -1161,9 +1216,7 @@ impl MiniClient {
             self.head.push_str("\r\n");
         }
         self.head.push_str("\r\n");
-        self.stream.write_all(self.head.as_bytes())?;
-        self.stream.write_all(body)?;
-        self.stream.flush()?;
+        write_message(&mut self.stream, self.head.as_bytes(), body)?;
         read_response_from(&mut self.stream, &mut self.scratch)
     }
 
@@ -1192,9 +1245,7 @@ impl MiniClient {
             "POST {path} HTTP/1.1\r\nhost: vrl\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\n\r\n",
             body.len()
         );
-        self.stream.write_all(self.head.as_bytes())?;
-        self.stream.write_all(body)?;
-        self.stream.flush()?;
+        write_message(&mut self.stream, self.head.as_bytes(), body)?;
 
         let head_end = read_head_into(&mut self.stream, &mut self.scratch)?;
         let head = &self.scratch[..head_end];
@@ -1340,4 +1391,109 @@ pub(crate) fn read_response_from(
         headers,
         body,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A writer that takes at most `max` bytes per `write_vectored` call
+    /// and counts the calls.
+    struct CountingWriter {
+        data: Vec<u8>,
+        calls: usize,
+        max: usize,
+    }
+
+    impl CountingWriter {
+        fn new(max: usize) -> Self {
+            CountingWriter {
+                data: Vec::new(),
+                calls: 0,
+                max,
+            }
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut taken = 0;
+            for buf in bufs {
+                let n = buf.len().min(self.max - taken);
+                self.data.extend_from_slice(&buf[..n]);
+                taken += n;
+            }
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_message_takes_one_write_when_the_writer_takes_it_all() {
+        let mut w = CountingWriter::new(usize::MAX);
+        write_message(&mut w, b"HTTP/1.1 200 OK\r\n\r\n", b"{\"a\":1}").unwrap();
+        assert_eq!(w.calls, 1);
+        assert_eq!(w.data, b"HTTP/1.1 200 OK\r\n\r\n{\"a\":1}");
+        write_message(&mut w, b"PUT / HTTP/1.1\r\n\r\n", b"xyz").unwrap();
+        assert_eq!(w.calls, 2, "one call per message");
+    }
+
+    #[test]
+    fn short_writes_resume_in_order() {
+        let head = b"HTTP/1.1 200 OK\r\ncontent-length: 26\r\n\r\n";
+        let body = b"abcdefghijklmnopqrstuvwxyz";
+        let mut w = CountingWriter::new(7);
+        write_message(&mut w, head, body).unwrap();
+        assert_eq!(w.data, [&head[..], &body[..]].concat());
+        assert_eq!(w.calls, (head.len() + body.len()).div_ceil(7));
+    }
+
+    #[test]
+    fn an_empty_body_sends_only_the_head() {
+        let mut w = CountingWriter::new(usize::MAX);
+        write_message(&mut w, b"HTTP/1.1 100 Continue\r\n\r\n", &[]).unwrap();
+        assert_eq!(w.calls, 1);
+        assert_eq!(w.data, b"HTTP/1.1 100 Continue\r\n\r\n");
+        // Split head, empty body: still complete, nothing after the head.
+        let mut w = CountingWriter::new(7);
+        write_message(&mut w, b"HTTP/1.1 204 No Content\r\n\r\n", &[]).unwrap();
+        assert_eq!(w.data, b"HTTP/1.1 204 No Content\r\n\r\n");
+    }
+
+    #[test]
+    fn a_writer_that_takes_nothing_is_an_error() {
+        let mut w = CountingWriter::new(0);
+        let error = write_message(&mut w, b"head", b"body").unwrap_err();
+        assert_eq!(error.kind(), std::io::ErrorKind::WriteZero);
+    }
+
+    #[test]
+    fn response_heads_carry_every_header_in_order() {
+        let mut response = Response::error(503, "unavailable", "down", "req-1");
+        response.retry_after = Some(2);
+        let mut w = CountingWriter::new(usize::MAX);
+        let mut head = b"stale bytes".to_vec();
+        write_response(&mut w, &mut head, &response, true, "req-1").unwrap();
+        assert_eq!(w.calls, 1);
+        let text = String::from_utf8(w.data).unwrap();
+        let expected_head = format!(
+            "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\nx-request-id: req-1\r\ncontent-length: {}\r\nretry-after: 2\r\nconnection: close\r\n\r\n",
+            response.body.len()
+        );
+        assert_eq!(
+            text,
+            expected_head + std::str::from_utf8(&response.body).unwrap()
+        );
+        // Relayed statuses the front-end never produces still label.
+        assert_eq!(status_label(299), (Cow::Owned("299".to_string()), "Error"));
+        assert_eq!(status_label(404).0, "404");
+    }
 }

@@ -46,7 +46,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::artifact::ShieldArtifact;
 use crate::frame;
-use crate::http::{read_response_from, MiniResponse, ShieldBackend};
+use crate::http::{read_response_from, write_message, MiniResponse, ShieldBackend};
 use crate::server::ServeError;
 use crate::telemetry::DeploymentTelemetry;
 use crate::wire;
@@ -339,9 +339,9 @@ pub struct RemoteShard {
     config: RemoteShardConfig,
     breaker: Breaker,
     jitter: Mutex<SmallRng>,
-    /// Reusable response read buffer; connections are per-request but the
-    /// buffer's capacity survives them, so steady-state shard traffic does
-    /// not reallocate the read path.
+    /// Reusable request-head and response read buffer; connections are
+    /// per-request but the buffer's capacity survives them, so steady-state
+    /// shard traffic does not reallocate the write or read path.
     scratch: Mutex<Vec<u8>>,
 }
 
@@ -424,16 +424,16 @@ impl RemoteShard {
         stream
             .set_write_timeout(Some(self.config.write_timeout))
             .map_err(|e| io_err(e, "write"))?;
-        let head = format!(
+        // The scratch buffer holds the request head, then the response.
+        let mut scratch = self.scratch.lock().expect("scratch lock poisoned");
+        scratch.clear();
+        write!(
+            scratch,
             "{method} {path} HTTP/1.1\r\nhost: vrl\r\nconnection: close\r\ncontent-length: {}\r\ncontent-type: {content_type}\r\n\r\n",
             body.len()
-        );
-        stream
-            .write_all(head.as_bytes())
-            .and_then(|()| stream.write_all(body))
-            .and_then(|()| stream.flush())
-            .map_err(|e| io_err(e, "write"))?;
-        let mut scratch = self.scratch.lock().expect("scratch lock poisoned");
+        )
+        .and_then(|()| write_message(&mut stream, &scratch, body))
+        .map_err(|e| io_err(e, "write"))?;
         read_response_from(&mut stream, &mut scratch).map_err(|e| io_err(e, "read"))
     }
 

@@ -33,7 +33,7 @@
 //! ```
 //!
 //! Responses, telemetry, and errors are documented per-endpoint in the
-//! README's wire-protocol reference; [`decide_response`],
+//! README's wire-protocol reference; [`decide_response_into`],
 //! [`telemetry_response`], [`deployed_response`], [`health_response`], and
 //! [`error_body`] are the single source of truth for their shapes.
 
@@ -254,6 +254,18 @@ fn write_f64(out: &mut String, v: f64) {
     } else {
         out.push_str("null");
     }
+}
+
+/// Writes `values` as a JSON array of [`write_f64`] numbers.
+fn write_f64_array(out: &mut String, values: &[f64]) {
+    out.push('[');
+    for (i, &value) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_f64(out, value);
+    }
+    out.push(']');
 }
 
 fn write_json_string(out: &mut String, s: &str) {
@@ -717,36 +729,50 @@ fn number_vec(value: &Json, field: &str) -> Result<Vec<f64>, WireError> {
         .collect()
 }
 
-fn decision_json(decision: &ShieldDecision) -> Json {
-    Json::Obj(vec![
-        (
-            "action".to_string(),
-            Json::Arr(decision.action.iter().map(|&v| Json::Num(v)).collect()),
-        ),
-        ("intervened".to_string(), Json::Bool(decision.intervened)),
-    ])
+/// Encodes a decide response into `out` (cleared first, capacity kept).
+/// Batched requests get `{"deployment", "count", "decisions": [...]}`;
+/// single-state requests get `{"deployment", "decision": {...}}`, each
+/// decision as `{"action": [...], "intervened": bool}`.  The bytes are
+/// those [`Json::render`] gives for the same object; no [`Json`] value is
+/// built.
+///
+/// # Panics
+///
+/// When `batched` is false and `decisions` is empty.
+pub fn decide_response_into(
+    deployment: &str,
+    decisions: &[ShieldDecision],
+    batched: bool,
+    out: &mut Vec<u8>,
+) {
+    out.clear();
+    // An empty buffer is valid UTF-8, so this reuses its allocation.
+    let mut text = String::from_utf8(std::mem::take(out)).unwrap_or_default();
+    text.push_str("{\"deployment\":");
+    write_json_string(&mut text, deployment);
+    if batched {
+        let _ = write!(text, ",\"count\":{},\"decisions\":[", decisions.len());
+        for (i, decision) in decisions.iter().enumerate() {
+            if i > 0 {
+                text.push(',');
+            }
+            write_decision(&mut text, decision);
+        }
+        text.push(']');
+    } else {
+        text.push_str(",\"decision\":");
+        write_decision(&mut text, &decisions[0]);
+    }
+    text.push('}');
+    *out = text.into_bytes();
 }
 
-/// Encodes a decide response.  Batched requests get
-/// `{"deployment", "count", "decisions": [...]}`; single-state requests get
-/// `{"deployment", "decision": {...}}`.
-pub fn decide_response(deployment: &str, decisions: &[ShieldDecision], batched: bool) -> String {
-    let json = if batched {
-        Json::Obj(vec![
-            ("deployment".to_string(), Json::Str(deployment.to_string())),
-            ("count".to_string(), Json::U64(decisions.len() as u64)),
-            (
-                "decisions".to_string(),
-                Json::Arr(decisions.iter().map(decision_json).collect()),
-            ),
-        ])
-    } else {
-        Json::Obj(vec![
-            ("deployment".to_string(), Json::Str(deployment.to_string())),
-            ("decision".to_string(), decision_json(&decisions[0])),
-        ])
-    };
-    json.render()
+fn write_decision(out: &mut String, decision: &ShieldDecision) {
+    out.push_str("{\"action\":");
+    write_f64_array(out, &decision.action);
+    out.push_str(",\"intervened\":");
+    out.push_str(if decision.intervened { "true" } else { "false" });
+    out.push('}');
 }
 
 /// Encodes a telemetry response; latency percentiles travel as integer
@@ -851,21 +877,14 @@ pub fn decide_batch_request(states: &[Vec<f64>]) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push('[');
-        for (j, value) in state.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            write_f64(&mut out, *value);
-        }
-        out.push(']');
+        write_f64_array(&mut out, state);
     }
     out.push_str("]}");
     out
 }
 
 /// Decodes a **batched** decide response (`{"decisions": [...]}`) back into
-/// shield decisions.  This is the client half of [`decide_response`]: the
+/// shield decisions.  This is the client half of [`decide_response_into`]: the
 /// shortest-round-trip `f64` rendering guarantees every action coordinate
 /// parses back to the identical bit pattern, so a decision that crosses the
 /// wire twice (shard → router → client) is still bit-exact.
@@ -1243,8 +1262,9 @@ mod tests {
                 intervened: false,
             },
         ];
-        let body = decide_response("d", &decisions, true);
-        let back = decode_decide_response(body.as_bytes()).unwrap();
+        let mut body = Vec::new();
+        decide_response_into("d", &decisions, true, &mut body);
+        let back = decode_decide_response(&body).unwrap();
         assert_eq!(back.len(), decisions.len());
         for (a, b) in back.iter().zip(decisions.iter()) {
             assert_eq!(a.intervened, b.intervened);
@@ -1253,9 +1273,8 @@ mod tests {
             }
         }
         // Single-shape and malformed bodies are schema errors, not panics.
-        assert!(
-            decode_decide_response(decide_response("d", &decisions, false).as_bytes()).is_err()
-        );
+        decide_response_into("d", &decisions, false, &mut body);
+        assert!(decode_decide_response(&body).is_err());
         assert!(decode_decide_response(b"{}").is_err());
         assert!(decode_decide_response(b"garbage").is_err());
 
@@ -1314,6 +1333,83 @@ mod tests {
         );
         assert_eq!(decode_error_body(b"not json"), None);
         assert_eq!(decode_error_body(b"{\"error\": 1}"), None);
+    }
+
+    /// The decide response as the `Json` DOM renders it: the reference the
+    /// direct encoder must match byte for byte.
+    fn dom_decide_response(
+        deployment: &str,
+        decisions: &[ShieldDecision],
+        batched: bool,
+    ) -> String {
+        let decision = |d: &ShieldDecision| {
+            Json::Obj(vec![
+                (
+                    "action".to_string(),
+                    Json::Arr(d.action.iter().map(|&v| Json::Num(v)).collect()),
+                ),
+                ("intervened".to_string(), Json::Bool(d.intervened)),
+            ])
+        };
+        let name = ("deployment".to_string(), Json::Str(deployment.to_string()));
+        let json = if batched {
+            Json::Obj(vec![
+                name,
+                ("count".to_string(), Json::U64(decisions.len() as u64)),
+                (
+                    "decisions".to_string(),
+                    Json::Arr(decisions.iter().map(decision).collect()),
+                ),
+            ])
+        } else {
+            Json::Obj(vec![
+                name,
+                ("decision".to_string(), decision(&decisions[0])),
+            ])
+        };
+        json.render()
+    }
+
+    #[test]
+    fn direct_decide_encoder_matches_the_dom_rendering() {
+        let values = [-0.0, 5e-324, 1e300, -1e-7, 2.0];
+        // One reused buffer across every case, as on a connection.
+        let mut out = Vec::new();
+        for deployment in ["pendulum", "a\"b\\c\u{1}"] {
+            for dim in 1..=4 {
+                for count in [1, 2, 5] {
+                    let decisions: Vec<ShieldDecision> = (0..count)
+                        .map(|i| ShieldDecision {
+                            action: (0..dim).map(|j| values[(i + j) % values.len()]).collect(),
+                            intervened: i % 2 == 0,
+                        })
+                        .collect();
+                    for batched in [false, true] {
+                        decide_response_into(deployment, &decisions, batched, &mut out);
+                        assert_eq!(
+                            String::from_utf8(out.clone()).unwrap(),
+                            dom_decide_response(deployment, &decisions, batched),
+                            "{deployment:?} dim {dim} count {count} batched {batched}"
+                        );
+                    }
+                    // The batched bytes decode back bit-exactly.
+                    decide_response_into(deployment, &decisions, true, &mut out);
+                    let back = decode_decide_response(&out).unwrap();
+                    assert_eq!(back.len(), decisions.len());
+                    for (a, b) in back.iter().zip(&decisions) {
+                        assert_eq!(a.intervened, b.intervened);
+                        let bits = |d: &ShieldDecision| {
+                            d.action.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                        };
+                        assert_eq!(bits(a), bits(b));
+                    }
+                }
+            }
+        }
+        // An empty batch renders the same way too.
+        decide_response_into("d", &[], true, &mut out);
+        assert_eq!(out, dom_decide_response("d", &[], true).into_bytes());
+        assert!(decode_decide_response(&out).unwrap().is_empty());
     }
 
     #[test]
