@@ -14,7 +14,7 @@
 //! columns move (`taskset -c 0 table1` gives the 1-thread run).
 //!
 //! Beyond the paper tables, the serving-side benches (`eval_kernels`,
-//! `serve_throughput`, `serve_binary`) record their headline numbers into
+//! `serve_throughput`, `decide_table`) record their headline numbers into
 //! `BENCH_eval.json` at the workspace root through
 //! [`upsert_bench_sections`], which merges each bench's sections into the
 //! file without clobbering the sections other benches own.
@@ -221,8 +221,8 @@ pub fn run_jobs<J: Sync, R: Send>(
 /// every top-level section the caller does not mention.
 ///
 /// `BENCH_eval.json` is written by more than one bench (`eval_kernels`
-/// owns the kernel and branch-and-bound sections, `serve_binary` the
-/// binary-frame serving section), so no bench may simply overwrite the file.  This
+/// owns the kernel and branch-and-bound sections, `decide_table` the
+/// decision-table section), so no bench may simply overwrite the file.  This
 /// helper reads the existing object, replaces or appends the given
 /// `(key, value)` pairs — `value` is raw, pre-rendered JSON text — and
 /// rewrites the file with existing sections first (in file order) and new
@@ -388,22 +388,22 @@ mod tests {
         upsert_bench_sections(
             &path,
             &[(
-                "serve_binary",
+                "decide_table",
                 "{\n    \"decisions_per_sec\": 50000\n  }".to_string(),
             )],
         )
         .unwrap();
-        // The first bench regenerates: its sections update, serve_binary
+        // The first bench regenerates: its sections update, decide_table
         // survives.
         upsert_bench_sections(&path, &[("description", "\"updated\"".to_string())]).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"description\": \"updated\""), "{text}");
-        assert!(text.contains("\"serve_binary\""), "{text}");
+        assert!(text.contains("\"decide_table\""), "{text}");
         assert!(text.contains("\"a, b }] text\""), "{text}");
         let sections = parse_top_level_sections(&text).unwrap();
         assert_eq!(
             sections.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
-            vec!["description", "point_eval", "serve_binary"]
+            vec!["description", "point_eval", "decide_table"]
         );
         std::fs::remove_file(&path).unwrap();
     }

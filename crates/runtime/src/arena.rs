@@ -6,10 +6,10 @@
 //! buffers, the response head and body buffers, and the decoded state
 //! matrix ([`StateArena`]) all live for the whole connection and are
 //! *reused* across requests.  After the first few requests warm the
-//! capacities up, framing a decide request and encoding its response (JSON
-//! or binary) perform no heap allocation.  Decoding a JSON request still
-//! does: it builds a [`Json`](crate::wire::Json) DOM before the states
-//! land in the arena.  Clients get the same treatment:
+//! capacities up, framing a decide request and encoding its JSON response
+//! perform no heap allocation.  Decoding the JSON request still does: it
+//! builds a [`Json`](crate::wire::Json) DOM before the states land in the
+//! arena.  Clients get the same treatment:
 //! [`MiniClient`](crate::http::MiniClient) and
 //! [`RemoteShard`](crate::remote::RemoteShard) hold persistent head and
 //! read buffers instead of allocating them per request.
@@ -21,8 +21,8 @@
 
 /// A reusable matrix of decoded state vectors.
 ///
-/// Both wire codecs ([`crate::wire`] JSON and [`crate::frame`] binary)
-/// decode request states into one of these instead of building a fresh
+/// The JSON decide decoder ([`crate::wire::decode_decide_request_into`])
+/// decodes request states into one of these instead of building a fresh
 /// `Vec<Vec<f64>>` per request: [`reset`](StateArena::reset) logically
 /// empties the arena while keeping every row's allocation, and
 /// [`push_row`](StateArena::push_row) hands back a cleared row to fill —

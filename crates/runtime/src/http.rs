@@ -16,7 +16,7 @@
 //!
 //! | Method & path | Meaning |
 //! |---|---|
-//! | `POST /v1/deployments/{name}/decide` | Decide one state or a batch (JSON body, see [`crate::wire`], or a binary frame, see [`crate::frame`]) |
+//! | `POST /v1/deployments/{name}/decide` | Decide one state or a batch (JSON body, see [`crate::wire`]) |
 //! | `PUT /v1/deployments/{name}` | Upload a checksummed [`ShieldArtifact`] (raw binary body) for deploy / hot redeploy |
 //! | `DELETE /v1/deployments/{name}` | Remove a deployment |
 //! | `GET /v1/deployments/{name}/telemetry` | Per-deployment serving telemetry |
@@ -29,15 +29,12 @@
 //! of [`wire::error_body`]; the status mapping is documented on
 //! [`error_status`] and in the README's wire-protocol reference.
 //!
-//! # Codec negotiation and the scratch pool
+//! # One codec and the scratch pool
 //!
-//! The decide endpoint speaks two codecs, negotiated per request by
-//! `Content-Type`: `application/json` (default, kept for debuggability)
-//! and the binary frame codec `application/x-vrl-frame`
-//! ([`frame::CONTENT_TYPE_FRAME`]), whose raw `f64` bit patterns skip
-//! decimal float formatting entirely.  The response body mirrors the
-//! request codec; error envelopes stay JSON on both paths with identical
-//! status/`code` semantics.  Every connection owns a scratch pool
+//! The decide endpoint speaks JSON only ([`crate::wire`]), whatever the
+//! request's `Content-Type` says; its shortest-round-trip number rendering
+//! carries every finite `f64` bit-exactly, so no second codec is needed
+//! for exactness.  Every connection owns a scratch pool
 //! (read buffer, body buffer, request path and id, response head and
 //! body, decoded state matrix — see `crate::arena`) reused across
 //! keep-alive requests, so steady-state framing and response encoding
@@ -72,7 +69,6 @@
 
 use crate::arena::ConnScratch;
 use crate::artifact::{ArtifactError, ShieldArtifact};
-use crate::frame;
 use crate::server::{ServeError, ShieldServer};
 use crate::telemetry::DeploymentTelemetry;
 use crate::wire::{self, WireError};
@@ -443,9 +439,6 @@ fn valid_request_id(value: &str) -> bool {
 struct Request {
     method: Method,
     close: bool,
-    /// Whether `Content-Type` negotiated the binary frame codec
-    /// ([`frame::CONTENT_TYPE_FRAME`]) for the decide endpoint.
-    binary: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -566,7 +559,6 @@ fn read_request(
     let mut close = version == "HTTP/1.0";
     let mut expects_continue = false;
     scratch.request_id.clear();
-    let mut binary = false;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
             continue;
@@ -606,16 +598,6 @@ fn read_request(
         } else if name.eq_ignore_ascii_case("x-request-id") && valid_request_id(value) {
             scratch.request_id.clear();
             scratch.request_id.push_str(value);
-        } else if name.eq_ignore_ascii_case("content-type") {
-            // Media-type parameters (`; charset=...`) are tolerated; any
-            // other content type falls back to the JSON codec.
-            binary = value
-                .get(..frame::CONTENT_TYPE_FRAME.len())
-                .is_some_and(|prefix| prefix.eq_ignore_ascii_case(frame::CONTENT_TYPE_FRAME))
-                && {
-                    let rest = value[frame::CONTENT_TYPE_FRAME.len()..].trim_start();
-                    rest.is_empty() || rest.starts_with(';')
-                };
         }
     }
 
@@ -701,11 +683,7 @@ fn read_request(
         body.truncate(content_length);
     }
 
-    Ok(Some(Request {
-        method,
-        close,
-        binary,
-    }))
+    Ok(Some(Request { method, close }))
 }
 
 fn find_head_end(buffer: &[u8]) -> Option<usize> {
@@ -748,13 +726,13 @@ impl Response {
         }
     }
 
-    /// A `200` whose body is already-encoded bytes (decide responses,
+    /// A JSON `200` whose body is already-encoded bytes (decide responses,
     /// taken from the connection's scratch buffer).
-    fn ok_bytes(body: Vec<u8>, content_type: &'static str) -> Self {
+    fn ok_bytes(body: Vec<u8>) -> Self {
         Response {
             status: 200,
             body,
-            content_type,
+            content_type: CONTENT_TYPE_JSON,
             retry_after: None,
         }
     }
@@ -903,15 +881,6 @@ fn wire_error_response(error: &WireError, request_id: &str) -> Response {
         WireError::BatchTooLarge { .. } => {
             Response::error(413, "batch_too_large", &error.to_string(), request_id)
         }
-        WireError::Frame { .. } => {
-            Response::error(400, "malformed_frame", &error.to_string(), request_id)
-        }
-        // Same status and code as `ServeError::NonFiniteState`: a binary
-        // frame can smuggle NaN/inf bit patterns JSON cannot even spell,
-        // and both codecs must reject them identically.
-        WireError::NonFiniteState { .. } => {
-            Response::error(422, "non_finite_state", &error.to_string(), request_id)
-        }
     }
 }
 
@@ -976,19 +945,11 @@ fn dispatch(
             CONTENT_TYPE_PROMETHEUS,
         ),
         (Method::Post, ["v1", "deployments", name, "decide"]) => {
-            crate::obs::http_decide_codec()
-                .with(if request.binary { "binary" } else { "json" })
-                .inc();
             // The codec-phase clock reads sit behind the same kill switch
             // as the decide-latency histogram.
             let observing = vrl_obs::enabled();
             let decode_start = observing.then(Instant::now);
-            let decoded = if request.binary {
-                frame::decode_decide_request_into(body, config.max_batch, states)
-            } else {
-                wire::decode_decide_request_into(body, config.max_batch, states)
-            };
-            let batched = match decoded {
+            let batched = match wire::decode_decide_request_into(body, config.max_batch, states) {
                 Ok(batched) => batched,
                 Err(e) => return wire_error_response(&e, request_id),
             };
@@ -1005,16 +966,9 @@ fn dispatch(
                 }
                 Ok(decisions) => {
                     let encode_start = observing.then(Instant::now);
-                    // The response codec mirrors the request codec; both
-                    // encode straight into the connection's reused buffer.
-                    let content_type = if request.binary {
-                        frame::encode_decide_response_into(&decisions, batched, out);
-                        frame::CONTENT_TYPE_FRAME
-                    } else {
-                        wire::decide_response_into(name, &decisions, batched, out);
-                        CONTENT_TYPE_JSON
-                    };
-                    let response = Response::ok_bytes(std::mem::take(out), content_type);
+                    // Encoded straight into the connection's reused buffer.
+                    wire::decide_response_into(name, &decisions, batched, out);
+                    let response = Response::ok_bytes(std::mem::take(out));
                     if let Some(start) = encode_start {
                         crate::obs::codec_phase_latency()
                             .with("encode")
@@ -1222,7 +1176,10 @@ impl MiniClient {
 
     /// Sends one `POST` with the given `Content-Type` and reads the
     /// response body into `out` (cleared first).  Returns the status code
-    /// and whether the response negotiated the binary frame codec.
+    /// and whether the response's `Content-Type` is `application/json`
+    /// (media-type parameters such as `; charset=utf-8` are ignored):
+    /// true for decides and error envelopes, false for `GET /metrics`'s
+    /// Prometheus text.
     ///
     /// This is the allocation-free hot path: the request head, read
     /// buffer, and response body all live in reused buffers, so a
@@ -1251,8 +1208,12 @@ impl MiniClient {
         let head = &self.scratch[..head_end];
         let status = scan_status(head)?;
         let content_length = scan_content_length(head)?;
-        let binary = scan_header(head, "content-type")
-            .is_some_and(|value| value.eq_ignore_ascii_case(frame::CONTENT_TYPE_FRAME.as_bytes()));
+        let json = scan_header(head, "content-type").is_some_and(|value| {
+            let media_type = value.split(|&b| b == b';').next().unwrap_or_default();
+            media_type
+                .trim_ascii_end()
+                .eq_ignore_ascii_case(CONTENT_TYPE_JSON.as_bytes())
+        });
         out.clear();
         out.extend_from_slice(&self.scratch[head_end..]);
         while out.len() < content_length {
@@ -1267,7 +1228,7 @@ impl MiniClient {
             out.extend_from_slice(&chunk[..n]);
         }
         out.truncate(content_length);
-        Ok((status, binary))
+        Ok((status, json))
     }
 }
 
@@ -1495,5 +1456,177 @@ mod tests {
         // Relayed statuses the front-end never produces still label.
         assert_eq!(status_label(299), (Cow::Owned("299".to_string()), "Error"));
         assert_eq!(status_label(404).0, "404");
+    }
+
+    #[test]
+    fn post_reusing_reports_whether_the_response_is_json() {
+        // A one-connection peer that answers through the real `dispatch`.
+        // `post_reusing` only sends POSTs, so the peer answers a POST to
+        // `/metrics` as the scrape it stands for.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let server = ShieldServer::with_workers(1);
+            server
+                .deploy("toy", crate::testutil::toy_artifact(3))
+                .unwrap();
+            let config = HttpConfig::default();
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut scratch = ConnScratch::default();
+            while let Ok(Some(mut request)) = read_request(&mut stream, &mut scratch, &config) {
+                if scratch.path == "/metrics" {
+                    request.method = Method::Get;
+                }
+                let response = dispatch(&request, &mut scratch, &server, &config);
+                if write_response(&mut stream, &mut scratch.head, &response, false, "req-1")
+                    .is_err()
+                {
+                    break;
+                }
+            }
+        });
+        let mut client = MiniClient::connect(addr).unwrap();
+        let mut out = Vec::new();
+        let decide = client
+            .post_reusing(
+                "/v1/deployments/toy/decide",
+                CONTENT_TYPE_JSON,
+                br#"{"state":[0.2]}"#,
+                &mut out,
+            )
+            .unwrap();
+        assert_eq!(decide, (200, true), "{}", String::from_utf8_lossy(&out));
+        assert!(out.starts_with(br#"{"deployment":"toy","decision":"#));
+        let metrics = client
+            .post_reusing("/metrics", "text/plain", b"", &mut out)
+            .unwrap();
+        assert_eq!(metrics, (200, false));
+        assert!(String::from_utf8_lossy(&out).contains("# TYPE "));
+        let missing = client
+            .post_reusing(
+                "/v1/deployments/none/decide",
+                CONTENT_TYPE_JSON,
+                br#"{"state":[0.2]}"#,
+                &mut out,
+            )
+            .unwrap();
+        assert_eq!(missing, (404, true), "error envelopes are JSON");
+        drop(client);
+        peer.join().unwrap();
+    }
+
+    /// A one-connection peer that answers each request (head and
+    /// `content-length` body read in full) with the next canned response,
+    /// written piece by piece with a pause between pieces so the client
+    /// sees them in separate reads.
+    fn canned_peer(responses: Vec<Vec<&'static [u8]>>) -> (SocketAddr, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut buffer = Vec::new();
+            for pieces in responses {
+                let mut chunk = [0u8; 1024];
+                let head_end = loop {
+                    if let Some(at) = buffer.windows(4).position(|w| w == b"\r\n\r\n") {
+                        break at + 4;
+                    }
+                    let n = stream.read(&mut chunk).unwrap();
+                    assert!(n > 0, "client closed before a full request head");
+                    buffer.extend_from_slice(&chunk[..n]);
+                };
+                let length = scan_content_length(&buffer[..head_end]).unwrap();
+                while buffer.len() < head_end + length {
+                    let n = stream.read(&mut chunk).unwrap();
+                    assert!(n > 0, "client closed mid-body");
+                    buffer.extend_from_slice(&chunk[..n]);
+                }
+                buffer.drain(..head_end + length);
+                for piece in pieces {
+                    stream.write_all(piece).unwrap();
+                    stream.flush().unwrap();
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+            }
+        });
+        (addr, peer)
+    }
+
+    #[test]
+    fn post_reusing_json_flag_reads_only_the_media_type() {
+        let answer = |content_type: &'static [u8]| -> Vec<&'static [u8]> {
+            vec![
+                b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n",
+                content_type,
+                b"\r\n{}",
+            ]
+        };
+        let cases: [(&[u8], bool); 6] = [
+            (b"content-type: application/json\r\n", true),
+            (b"Content-Type: Application/JSON; charset=utf-8\r\n", true),
+            (b"content-type:application/json \r\n", true),
+            (b"content-type: application/jsonl\r\n", false),
+            (
+                b"content-type: text/plain; type=application/json\r\n",
+                false,
+            ),
+            (b"x-no-content-type: application/json\r\n", false),
+        ];
+        let (addr, peer) = canned_peer(cases.iter().map(|(header, _)| answer(header)).collect());
+        let mut client = MiniClient::connect(addr).unwrap();
+        let mut out = Vec::new();
+        for (header, json) in cases {
+            let answer = client
+                .post_reusing("/x", CONTENT_TYPE_JSON, b"{}", &mut out)
+                .unwrap();
+            assert_eq!(answer, (200, json), "{}", String::from_utf8_lossy(header));
+            assert_eq!(out, b"{}");
+        }
+        drop(client);
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn post_reusing_assembles_a_response_split_across_reads() {
+        let (addr, peer) = canned_peer(vec![
+            vec![
+                b"HTTP/1.1 200 OK\r\ncontent-type: appli",
+                b"cation/json\r\ncontent-length: 26\r\n\r\nabcdefg",
+                b"hijklmnopq",
+                b"rstuvwxyz",
+            ],
+            vec![b"HTTP/1.1 204 No Content\r\ncontent-length: 0\r\n\r\n"],
+        ]);
+        let mut client = MiniClient::connect(addr).unwrap();
+        let mut out = b"stale bytes from an earlier response".to_vec();
+        let answer = client
+            .post_reusing("/x", CONTENT_TYPE_JSON, b"{\"state\":[1]}", &mut out)
+            .unwrap();
+        assert_eq!(answer, (200, true));
+        assert_eq!(out, b"abcdefghijklmnopqrstuvwxyz");
+        // The next response on the connection starts clean: no body left
+        // over from the last one, no stale bytes in `out`.
+        let answer = client
+            .post_reusing("/x", CONTENT_TYPE_JSON, b"", &mut out)
+            .unwrap();
+        assert_eq!(answer, (204, false));
+        assert!(out.is_empty());
+        drop(client);
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn post_reusing_reports_a_body_cut_short() {
+        let (addr, peer) = canned_peer(vec![vec![
+            b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 100\r\n\r\n{\"decisions\":[",
+        ]]);
+        let mut client = MiniClient::connect(addr).unwrap();
+        let mut out = Vec::new();
+        // The peer closes after its only piece, 85 bytes short.
+        let error = client
+            .post_reusing("/x", CONTENT_TYPE_JSON, b"{}", &mut out)
+            .unwrap_err();
+        assert_eq!(error.kind(), std::io::ErrorKind::UnexpectedEof);
+        peer.join().unwrap();
     }
 }

@@ -18,9 +18,9 @@
 //!   [`ShieldServer::resynthesize_and_redeploy`] re-synthesizes a shield
 //!   for a *changed* environment against the deployment's existing oracle
 //!   and swaps it in atomically, with zero downtime and no retraining.
-//! * **Networked serving** — [`http::HttpFrontend`] puts the five-endpoint
-//!   HTTP/1.1 wire protocol (decide / telemetry / artifact `PUT` /
-//!   `healthz` / Prometheus `metrics`) in front of any
+//! * **Networked serving** — [`http::HttpFrontend`] puts the HTTP/1.1
+//!   wire protocol (JSON decide / telemetry, artifact `PUT` / `DELETE`,
+//!   `healthz`, Prometheus `metrics`) in front of any
 //!   [`http::ShieldBackend`], using only the standard library (see the
 //!   README's wire-protocol reference).
 //! * **Replicated routing** — [`Router`] spreads deployments over any
@@ -78,7 +78,6 @@ mod artifact;
 mod codec;
 pub mod fault;
 pub mod fixtures;
-pub mod frame;
 pub mod http;
 mod obs;
 mod pool;

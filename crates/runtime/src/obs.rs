@@ -114,19 +114,7 @@ pub(crate) fn http_requests() -> &'static CounterVec {
     *HANDLE
 }
 
-/// Decide requests by negotiated wire codec (`json` / `binary`).
-pub(crate) fn http_decide_codec() -> &'static CounterVec {
-    static HANDLE: LazyLock<&'static CounterVec> = LazyLock::new(|| {
-        registry().counter_vec(
-            "vrl_http_decide_requests_total",
-            "codec",
-            "Decide requests served, labeled by the negotiated wire codec (json/binary).",
-        )
-    });
-    *HANDLE
-}
-
-/// Wire-codec latency on the decide path, labeled by phase
+/// JSON codec latency on the decide path, labeled by phase
 /// (`decode` = request body to state matrix, `encode` = decisions to
 /// response body).  Observations are gated on [`vrl_obs::enabled`] at the
 /// call site like the decide-latency histogram, so the kill switch removes
@@ -214,9 +202,6 @@ pub fn install_metrics() {
     }
     let _ = decide_latency();
     let _ = http_requests();
-    for codec in ["json", "binary"] {
-        let _ = http_decide_codec().with(codec);
-    }
     for phase in ["decode", "encode"] {
         let _ = codec_phase_latency().with(phase);
     }
@@ -239,7 +224,6 @@ mod tests {
             "vrl_runtime_requests_total",
             "vrl_runtime_decide_latency_seconds",
             "vrl_http_requests_total",
-            "vrl_http_decide_requests_total",
             "vrl_http_codec_phase_seconds",
             "vrl_http_overload_total",
             "vrl_http_active_connections",

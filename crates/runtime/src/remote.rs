@@ -45,7 +45,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::artifact::ShieldArtifact;
-use crate::frame;
 use crate::http::{read_response_from, write_message, MiniResponse, ShieldBackend};
 use crate::server::ServeError;
 use crate::telemetry::DeploymentTelemetry;
@@ -152,7 +151,7 @@ pub enum RemoteError {
         detail: String,
     },
     /// The shard answered bytes that do not parse as the expected protocol
-    /// (garbage frame, malformed status line, undecodable body).
+    /// (garbage bytes, malformed status line, undecodable body).
     Protocol {
         /// The shard address.
         addr: SocketAddr,
@@ -385,13 +384,7 @@ impl RemoteShard {
     }
 
     /// One attempt: fresh connection, write request, read response.
-    fn attempt(
-        &self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-        content_type: &str,
-    ) -> Result<MiniResponse, RemoteError> {
+    fn attempt(&self, method: &str, path: &str, body: &[u8]) -> Result<MiniResponse, RemoteError> {
         let addr = self.addr;
         let timeout_err = |phase: &'static str| RemoteError::Timeout { addr, phase };
         let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout).map_err(
@@ -429,7 +422,7 @@ impl RemoteShard {
         scratch.clear();
         write!(
             scratch,
-            "{method} {path} HTTP/1.1\r\nhost: vrl\r\nconnection: close\r\ncontent-length: {}\r\ncontent-type: {content_type}\r\n\r\n",
+            "{method} {path} HTTP/1.1\r\nhost: vrl\r\nconnection: close\r\ncontent-length: {}\r\n\r\n",
             body.len()
         )
         .and_then(|()| write_message(&mut stream, &scratch, body))
@@ -440,13 +433,7 @@ impl RemoteShard {
     /// Full request path: breaker admission, bounded retries with jittered
     /// backoff, breaker accounting.  Returns the response for any status
     /// below 500 (the caller decodes success and application errors).
-    fn request(
-        &self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-        content_type: &str,
-    ) -> Result<MiniResponse, RemoteError> {
+    fn request(&self, method: &str, path: &str, body: &[u8]) -> Result<MiniResponse, RemoteError> {
         if self.breaker.admit().is_err() {
             crate::obs::breaker_rejections().inc();
             return Err(RemoteError::BreakerOpen { addr: self.addr });
@@ -454,7 +441,7 @@ impl RemoteShard {
         let mut last_error;
         let mut attempt_index = 0u32;
         loop {
-            match self.attempt(method, path, body, content_type) {
+            match self.attempt(method, path, body) {
                 Ok(response) if response.status < 500 => {
                     self.breaker.on_success();
                     return Ok(response);
@@ -511,15 +498,17 @@ impl RemoteShard {
 
     /// Decides a batch on the remote shard.
     ///
-    /// Shard-to-shard decide traffic negotiates the binary frame codec
-    /// ([`crate::frame`]) automatically: raw `f64` bit patterns cross the
-    /// wire, so the decisions that come back are trivially bit-identical
-    /// to calling `decide_batch` in the shard's process.  A front-end that
-    /// answers with JSON anyway (which also round-trips bit-exactly) is
-    /// decoded by its response `Content-Type`.
+    /// States and decisions cross the wire as JSON ([`crate::wire`]),
+    /// whose shortest-round-trip number rendering is bit-exact, so the
+    /// decisions that come back are bit-identical to calling
+    /// `decide_batch` in the shard's process.  JSON cannot spell NaN or
+    /// ±inf, so a non-finite state is refused here, before any network
+    /// round trip, with the error the shard itself would give.
     ///
     /// # Errors
     ///
+    /// [`ServeError::NonFiniteState`] when any coordinate is NaN or ±inf
+    /// (no request is sent, so no retry and no breaker tick);
     /// [`ServeError::Remote`] on transport failure after retries (or
     /// breaker-open), [`ServeError::UnknownDeployment`] /
     /// [`ServeError::Shard`] on structured shard answers.
@@ -528,24 +517,18 @@ impl RemoteShard {
         deployment: &str,
         states: &[Vec<f64>],
     ) -> Result<Vec<ShieldDecision>, ServeError> {
-        let body = frame::encode_decide_request(states, true);
+        if !states.iter().flatten().all(|x| x.is_finite()) {
+            return Err(ServeError::NonFiniteState);
+        }
+        let body = wire::decide_batch_request(states);
         let path = format!("/v1/deployments/{deployment}/decide");
         let response = self
-            .request("POST", &path, &body, frame::CONTENT_TYPE_FRAME)
+            .request("POST", &path, body.as_bytes())
             .map_err(ServeError::Remote)?;
         if response.status != 200 {
-            // Error envelopes are JSON on both codec paths.
             return Err(self.shard_error(deployment, &response));
         }
-        let binary = response
-            .header("content-type")
-            .is_some_and(|value| value.eq_ignore_ascii_case(frame::CONTENT_TYPE_FRAME));
-        let decoded = if binary {
-            frame::decode_decide_response(&response.body).map_err(|error| error.to_string())
-        } else {
-            wire::decode_decide_response(&response.body).map_err(|error| error.to_string())
-        };
-        decoded.map_err(|error| {
+        wire::decode_decide_response(&response.body).map_err(|error| {
             ServeError::Remote(RemoteError::Protocol {
                 addr: self.addr,
                 detail: format!("bad decide response: {error}"),
@@ -562,7 +545,7 @@ impl RemoteShard {
     pub fn put_artifact_bytes(&self, deployment: &str, bytes: &[u8]) -> Result<u64, ServeError> {
         let path = format!("/v1/deployments/{deployment}");
         let response = self
-            .request("PUT", &path, bytes, "application/octet-stream")
+            .request("PUT", &path, bytes)
             .map_err(ServeError::Remote)?;
         if response.status != 200 {
             return Err(self.shard_error(deployment, &response));
@@ -583,7 +566,7 @@ impl RemoteShard {
     pub fn fetch_telemetry(&self, deployment: &str) -> Result<DeploymentTelemetry, ServeError> {
         let path = format!("/v1/deployments/{deployment}/telemetry");
         let response = self
-            .request("GET", &path, b"", "application/json")
+            .request("GET", &path, b"")
             .map_err(ServeError::Remote)?;
         if response.status != 200 {
             return Err(self.shard_error(deployment, &response));
@@ -605,7 +588,7 @@ impl RemoteShard {
     pub fn undeploy_remote(&self, deployment: &str) -> Result<bool, ServeError> {
         let path = format!("/v1/deployments/{deployment}");
         let response = self
-            .request("DELETE", &path, b"", "application/json")
+            .request("DELETE", &path, b"")
             .map_err(ServeError::Remote)?;
         if response.status == 200 {
             return Ok(true);
@@ -639,22 +622,18 @@ impl ShieldBackend for RemoteShard {
     /// succeeding probe heals an open breaker without risking a live
     /// request.
     fn deployment_generations(&self) -> Result<Vec<(String, u64)>, ServeError> {
-        let outcome = self
-            .attempt("GET", "/healthz", b"", "application/json")
-            .and_then(|response| {
-                if response.status != 200 {
-                    return Err(RemoteError::UpstreamStatus {
-                        addr: self.addr,
-                        status: response.status,
-                    });
-                }
-                wire::decode_health_response(&response.body).map_err(|error| {
-                    RemoteError::Protocol {
-                        addr: self.addr,
-                        detail: format!("bad healthz response: {error}"),
-                    }
-                })
-            });
+        let outcome = self.attempt("GET", "/healthz", b"").and_then(|response| {
+            if response.status != 200 {
+                return Err(RemoteError::UpstreamStatus {
+                    addr: self.addr,
+                    status: response.status,
+                });
+            }
+            wire::decode_health_response(&response.body).map_err(|error| RemoteError::Protocol {
+                addr: self.addr,
+                detail: format!("bad healthz response: {error}"),
+            })
+        });
         match &outcome {
             Ok(_) => self.breaker.on_success(),
             Err(_) => self.breaker.on_failure(),
@@ -727,6 +706,28 @@ mod tests {
         assert!(matches!(
             third,
             Err(ServeError::Remote(RemoteError::BreakerOpen { .. }))
+        ));
+    }
+
+    #[test]
+    fn non_finite_states_are_refused_without_a_connect_or_a_breaker_tick() {
+        // The shard is unreachable, so any request that went to the network
+        // would fail to connect and count towards the breaker.  Non-finite
+        // states, well past the breaker threshold, must never get that far.
+        let shard = RemoteShard::with_config(dead_addr(), fast_config());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -f64::NAN] {
+            let refused = shard.decide_batch_remote("pend", &[vec![0.0], vec![bad]]);
+            assert!(
+                matches!(refused, Err(ServeError::NonFiniteState)),
+                "{bad}: {refused:?}"
+            );
+        }
+        assert_eq!(shard.breaker_state(), BreakerState::Closed);
+        // The finite control does reach the network.
+        let finite = shard.decide_batch_remote("pend", &[vec![0.0]]);
+        assert!(matches!(
+            finite,
+            Err(ServeError::Remote(RemoteError::Connect { .. }))
         ));
     }
 

@@ -15,11 +15,10 @@
 //!   an immutable snapshot — a redeploy in progress never blocks readers
 //!   for longer than the pointer swap, and in-flight requests simply finish
 //!   on the generation they started with.  Measured under concurrent
-//!   serving (`serve_binary` bench, `rwlock_arc_clone_ns_*` in
-//!   `BENCH_eval.json`), the lock-and-clone costs ~60 ns alone and ~190 ns
-//!   with four reader threads — well under 1% of a single decide — so the
-//!   plain `RwLock` stays; an `ArcSwap`-style lock-free cell would shave
-//!   nanoseconds nobody can observe.
+//!   serving on a single-core box, the lock-and-clone costs ~60 ns alone
+//!   and ~190 ns with four reader threads — well under 1% of a single
+//!   decide — so the plain `RwLock` stays; an `ArcSwap`-style lock-free
+//!   cell would shave nanoseconds nobody can observe.
 //! * [`ShieldServer::decide_batch`] fans large batches out over a shared
 //!   [`WorkerPool`], one contiguous chunk per worker, and reassembles the
 //!   results in order.  Within each chunk (and on the small-batch path)

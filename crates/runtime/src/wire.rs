@@ -18,9 +18,10 @@
 //! counters (request totals, generations, latency nanoseconds) take the
 //! dedicated [`Json::U64`] path and render as exact decimal digits — an
 //! `f64` detour would silently round anything beyond 2^53.  Non-finite
-//! numbers are not representable in JSON; the server rejects non-finite
-//! states before they reach the codec, and verified shields never produce
-//! non-finite actions.
+//! numbers are not representable in JSON: the parser rejects `NaN` and
+//! `Infinity` spellings and overflowing literals, a
+//! [`RemoteShard`](crate::RemoteShard) refuses non-finite states before
+//! encoding them, and verified shields never produce non-finite actions.
 //!
 //! # Request / response shapes
 //!
@@ -73,24 +74,6 @@ pub enum WireError {
         /// Maximum the server accepts per request.
         max: usize,
     },
-    /// The body is not a well-formed binary decide frame (see
-    /// [`crate::frame`]): bad magic, unsupported version, truncation, a
-    /// length prefix that disagrees with the body, or trailing bytes.
-    Frame {
-        /// Byte offset of the offending field.
-        at: usize,
-        /// What was wrong.
-        detail: &'static str,
-    },
-    /// A binary frame carried a non-finite state coordinate.  JSON can
-    /// never produce this (`NaN`/`Infinity` are not JSON), so the frame
-    /// decoder enforces the server's 422 non-finite-state policy itself.
-    NonFiniteState {
-        /// Index of the offending state in the request.
-        state: usize,
-        /// Index of the non-finite coordinate within that state.
-        coordinate: usize,
-    },
 }
 
 impl fmt::Display for WireError {
@@ -110,15 +93,6 @@ impl fmt::Display for WireError {
                 write!(
                     f,
                     "batch of {len} states exceeds the per-request limit of {max}"
-                )
-            }
-            WireError::Frame { at, detail } => {
-                write!(f, "malformed binary frame at byte {at}: {detail}")
-            }
-            WireError::NonFiniteState { state, coordinate } => {
-                write!(
-                    f,
-                    "state {state} coordinate {coordinate} is not a finite number"
                 )
             }
         }
@@ -1225,6 +1199,109 @@ mod tests {
             let _ = decode_decide_request(&mutated, 64);
             mutated[i] = 0xFF;
             let _ = decode_decide_request(&mutated, 64);
+        }
+    }
+
+    #[test]
+    fn batch_requests_reach_the_server_decoder_bit_exactly() {
+        // Shard-to-shard decides travel as `decide_batch_request` bodies, so
+        // the client encoder and the server decoder must agree on every bit.
+        let states = vec![
+            vec![0.1, -1.0 / 3.0, -0.0],
+            vec![f64::MIN_POSITIVE, 5e-324, -5e-324],
+            vec![f64::MAX, f64::MIN, 1e22],
+            vec![],
+            vec![123456.78901234567, 4_503_599_627_370_497.0, 1e-300],
+        ];
+        let body = decide_batch_request(&states);
+        let decoded = decode_decide_request(body.as_bytes(), states.len()).unwrap();
+        assert!(decoded.batched);
+        assert_eq!(decoded.states.len(), states.len());
+        for (sent, got) in states.iter().zip(decoded.states.iter()) {
+            let sent: Vec<u64> = sent.iter().map(|v| v.to_bits()).collect();
+            let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(sent, got, "via {body}");
+        }
+        // An empty batch is a valid (empty) request.
+        let empty = decode_decide_request(decide_batch_request(&[]).as_bytes(), 0).unwrap();
+        assert!(empty.batched && empty.states.is_empty());
+    }
+
+    #[test]
+    fn non_finite_states_cannot_cross_the_wire() {
+        // JSON has no spelling for NaN or ±inf: the encoder writes `null`,
+        // which the server decoder refuses as a schema error.  Callers that
+        // hold a non-finite state must refuse it before encoding.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let body = decide_batch_request(&[vec![0.5, bad]]);
+            assert_eq!(body, "{\"states\":[[0.5,null]]}");
+            assert!(
+                matches!(
+                    decode_decide_request(body.as_bytes(), 8),
+                    Err(WireError::Schema(_))
+                ),
+                "{bad} must not decode as a state"
+            );
+        }
+    }
+
+    #[test]
+    fn arena_decoder_agrees_with_the_allocating_decoder() {
+        let corpus: &[&[u8]] = &[
+            br#"{"state": [0.25, -0.5]}"#,
+            br#"{"states": [[1], [2, 3], []]}"#,
+            br#"{"states": []}"#,
+            br#"{"states": [[0], [0], [0]]}"#,
+            b"{}",
+            b"{\"state\": 1}",
+            b"{\"states\": [[1], 2]}",
+            b"{\"state\": [1], \"states\": [[1]]}",
+            b"{\"states\": [[1], [\"x\"]]}",
+            b"{\"state\": [NaN]}",
+            b"[1,2]",
+            b"",
+            b"{\"states\": [[0.1, 0.2",
+        ];
+        let mut arena = crate::arena::StateArena::new();
+        for body in corpus {
+            // A stale row from the previous body must never leak through.
+            arena.push_row().push(f64::NAN);
+            let allocating = decode_decide_request(body, 2);
+            let into = decode_decide_request_into(body, 2, &mut arena);
+            let text = String::from_utf8_lossy(body);
+            match allocating {
+                Ok(request) => {
+                    assert_eq!(into, Ok(request.batched), "{text}");
+                    assert_eq!(arena.rows(), request.states.as_slice(), "{text}");
+                }
+                Err(error) => assert_eq!(into, Err(error), "{text}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_strict_prefix_of_a_decide_response_is_an_error() {
+        // A response cut short in transit must fail to decode rather than
+        // yield fewer (or shorter) decisions than the shard sent.
+        let decisions = vec![
+            ShieldDecision {
+                action: vec![0.5, -1.25e-7],
+                intervened: true,
+            },
+            ShieldDecision {
+                action: vec![-0.0, 3.0],
+                intervened: false,
+            },
+        ];
+        let mut body = Vec::new();
+        decide_response_into("pendulum", &decisions, true, &mut body);
+        assert_eq!(decode_decide_response(&body).unwrap(), decisions);
+        for len in 0..body.len() {
+            assert!(
+                decode_decide_response(&body[..len]).is_err(),
+                "prefix of {len} bytes decoded: {}",
+                String::from_utf8_lossy(&body[..len])
+            );
         }
     }
 

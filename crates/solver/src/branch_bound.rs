@@ -855,6 +855,7 @@ mod tests {
 
     #[test]
     fn repeated_queries_hit_the_compiled_query_cache() {
+        let _guard = crate::cache::shared_store_test_guard();
         crate::reset_query_cache();
         let x = Polynomial::variable(0, 1);
         let p = &(&x * &x) - &Polynomial::constant(1.0, 1);

@@ -385,6 +385,18 @@ pub fn reset_query_cache() {
     reset_shared_query_cache();
 }
 
+/// Serializes this crate's unit tests that reset the process-wide store
+/// or rely on an entry surviving in it: the test harness runs tests
+/// concurrently on one process, so an unguarded reset in one test can
+/// drop a family another test is about to look up.
+#[cfg(test)]
+pub(crate) fn shared_store_test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static GUARD: Mutex<()> = Mutex::new(());
+    GUARD
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,6 +481,7 @@ mod tests {
 
     #[test]
     fn thread_local_instance_is_shared_within_a_thread() {
+        let _guard = shared_store_test_guard();
         reset_query_cache();
         let a = poly(5.0);
         let first = with_query_cache(|cache| cache.get_or_compile(&[&a]));
@@ -491,9 +504,11 @@ mod tests {
     fn l1_misses_are_answered_by_the_process_wide_store() {
         // A family compiled through one cache instance must reach a second
         // instance — on another thread — through the shared L2 store, as
-        // the identical `Arc`.  Tests elsewhere in the binary may reset the
-        // shared store concurrently, so try a few unique families; sharing
-        // must be observed on at least one attempt.
+        // the identical `Arc`.  The guard keeps this crate's resetting
+        // tests out; concurrent compilations could still evict the entry
+        // from its shard, so try a few unique families and require sharing
+        // on at least one attempt.
+        let _guard = shared_store_test_guard();
         let shared = (0..3).any(|attempt| {
             let p = poly(123.456 + attempt as f64);
             let here = CompiledQueryCache::new(4).get_or_compile(&[&p]);

@@ -4,11 +4,10 @@
 //! 1. Start a `Router` (3 shield-server shards, rendezvous placement)
 //!    behind the std-only HTTP/1.1 front-end on a loopback port.
 //! 2. `PUT` checksummed shield artifacts for two deployments over the wire.
-//! 3. `POST` single and batched decide requests — over the JSON codec and
-//!    again over the negotiated binary frame codec
-//!    (`Content-Type: application/x-vrl-frame`), asserting the decisions
-//!    bit-identical (all traffic rides the lane-batched `decide_batch`
-//!    kernels server-side).
+//! 3. `POST` single and batched JSON decide requests, asserting the batch's
+//!    decisions bit-identical to the in-process `Router::decide_batch`
+//!    (all traffic rides the lane-batched `decide_batch` kernels
+//!    server-side).
 //! 4. `GET` per-deployment telemetry and `/healthz`.
 //! 5. Grow the fleet by one shard and watch the consistent hash rehydrate
 //!    only the deployments whose placement moved.
@@ -26,7 +25,7 @@ use std::sync::Arc;
 use vrl::shield::TableConfig;
 use vrl_benchmarks::benchmark_by_name;
 use vrl_runtime::http::{HttpConfig, HttpFrontend, MiniClient, ShieldBackend};
-use vrl_runtime::{fixtures, frame, wire, Router, ShieldServer};
+use vrl_runtime::{fixtures, wire, Router, ShieldServer};
 
 fn main() {
     // A sharded backend: three in-process shield servers, deployments
@@ -126,23 +125,14 @@ fn main() {
         batch.body.len()
     );
 
-    // The same batch over the binary frame codec: the request Content-Type
-    // negotiates the codec, the 200 response mirrors it (errors stay JSON
-    // on both paths), and the decisions must be bit-identical — the frame
-    // carries raw f64 bits, the JSON codec renders shortest-round-trip.
-    let frame_body = frame::encode_decide_request(&states, true);
-    let framed = client
-        .request_with_headers(
-            "POST",
-            "/v1/deployments/pendulum/decide",
-            &frame_body,
-            &[("content-type", frame::CONTENT_TYPE_FRAME)],
-        )
-        .expect("binary decide succeeds");
+    // JSON's shortest-round-trip numbers carry every f64 bit-exactly, so
+    // the wire decisions equal the in-process ones bit for bit.
     let json_decisions = wire::decode_decide_response(&batch.body).expect("JSON decodes");
-    let frame_decisions = frame::decode_decide_response(&framed.body).expect("frame decodes");
-    let identical = json_decisions.len() == frame_decisions.len()
-        && json_decisions.iter().zip(&frame_decisions).all(|(a, b)| {
+    let reference = router
+        .decide_batch("pendulum", &states)
+        .expect("in-process decide succeeds");
+    let identical = json_decisions.len() == reference.len()
+        && json_decisions.iter().zip(&reference).all(|(a, b)| {
             a.intervened == b.intervened
                 && a.action.len() == b.action.len()
                 && a.action
@@ -150,15 +140,11 @@ fn main() {
                     .zip(&b.action)
                     .all(|(x, y)| x.to_bits() == y.to_bits())
         });
-    println!(
-        "POST decide (binary frame: {} bytes in, {} bytes out, response content-type {:?}) \
-         -> {}; decisions bit-identical to JSON: {identical}",
-        frame_body.len(),
-        framed.body.len(),
-        framed.header("content-type").unwrap_or("<missing>"),
-        framed.status,
+    println!("decisions bit-identical to in-process decide_batch: {identical}");
+    assert!(
+        identical,
+        "wire and in-process decisions must agree bit-for-bit"
     );
-    assert!(identical, "the two wire codecs must agree bit-for-bit");
 
     // A malformed request gets a structured 4xx, not a dropped connection.
     let bad = client
@@ -233,8 +219,7 @@ fn main() {
     );
     for series in [
         "vrl_http_requests_total",
-        "vrl_http_decide_requests_total{codec=\"json\"}",
-        "vrl_http_decide_requests_total{codec=\"binary\"}",
+        "vrl_http_codec_phase_seconds_count{phase=\"decode\"}",
         "vrl_runtime_decisions_total",
         "vrl_router_rehydrations_total",
         "vrl_shield_decide_table_hits_total",

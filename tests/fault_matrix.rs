@@ -26,7 +26,8 @@ use vrl_benchmarks::benchmark_by_name;
 use vrl_runtime::fault::{ChaosProxy, Fault, FaultPlan};
 use vrl_runtime::http::{HttpConfig, HttpFrontend, MiniClient, ShieldBackend};
 use vrl_runtime::{
-    fixtures, replica_set, RemoteShard, RemoteShardConfig, Router, ShieldArtifact, ShieldServer,
+    fixtures, replica_set, RemoteShard, RemoteShardConfig, Router, ServeError, ShieldArtifact,
+    ShieldServer,
 };
 
 fn pendulum_artifact(seed: u64) -> ShieldArtifact {
@@ -241,6 +242,60 @@ fn refused_connect_fails_over_bit_identically() {
     assert_eq!(wire, direct_decisions(&bytes, &states));
 
     fleet.shutdown();
+    backup_shard.shutdown();
+}
+
+#[test]
+fn non_finite_states_are_refused_before_the_wire() {
+    // JSON cannot spell NaN or ±inf, so a remote shard refuses a
+    // non-finite state itself, with the error an in-process server gives.
+    // Nothing is sent: no retry, no breaker tick, no failover.
+    let primary_shard = start_shard();
+    let backup_shard = start_shard();
+    let proxy = ChaosProxy::launch(primary_shard.local_addr(), FaultPlan::new(vec![]))
+        .expect("proxy binds");
+    let fleet = build_fleet(proxy.addr(), backup_shard.local_addr());
+
+    let artifact = pendulum_artifact(17);
+    let bytes = artifact.to_bytes();
+    fleet
+        .deploy(DEPLOYMENT, artifact)
+        .expect("deploy reaches both replicas");
+    assert_eq!(proxy.accepted(), 1, "the deploy");
+
+    let in_process = ShieldServer::with_workers(1);
+    in_process
+        .deploy(DEPLOYMENT, ShieldArtifact::from_bytes(&bytes).unwrap())
+        .unwrap();
+    for bad in [f64::NAN, f64::INFINITY] {
+        let states = vec![vec![0.1, 0.2], vec![bad, 0.0]];
+        let error = fleet.decide_batch(DEPLOYMENT, &states).unwrap_err();
+        assert!(
+            matches!(error, ServeError::NonFiniteState),
+            "{bad}: {error:?}"
+        );
+        let local = in_process.decide_batch(DEPLOYMENT, &states).unwrap_err();
+        assert!(matches!(local, ServeError::NonFiniteState), "{local:?}");
+    }
+    assert_eq!(proxy.accepted(), 1, "no non-finite decide left the fleet");
+    assert_eq!(fleet.shard_liveness(), vec![true, true]);
+
+    // The primary's breaker still admits, and the primary (not the backup)
+    // serves the next finite batch bit-identically.
+    let states = sample_states(20, 37);
+    let decisions = fleet
+        .decide_batch(DEPLOYMENT, &states)
+        .expect("primary serves");
+    assert_eq!(proxy.accepted(), 2, "the finite batch went to the primary");
+    let wire: Vec<(Vec<u64>, bool)> = decisions
+        .into_iter()
+        .map(|d| (d.action.iter().map(|v| v.to_bits()).collect(), d.intervened))
+        .collect();
+    assert_eq!(wire, direct_decisions(&bytes, &states));
+
+    fleet.shutdown();
+    proxy.shutdown();
+    primary_shard.shutdown();
     backup_shard.shutdown();
 }
 

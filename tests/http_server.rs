@@ -874,11 +874,9 @@ fn overload_503_carries_retry_after() {
 }
 
 #[test]
-fn decide_codec_negotiation_matrix() {
-    use vrl_runtime::frame;
-    // The decide endpoint negotiates its codec per request by Content-Type.
-    // Rows of the matrix (also documented in the README):
-    //   (request content-type, body codec) -> (status, response codec)
+fn every_content_type_takes_json() {
+    // JSON is the decide endpoint's only codec: the request Content-Type
+    // is not consulted, and every response is JSON.
     let server = Arc::new(ShieldServer::with_workers(1));
     server.deploy("toy", pendulum_artifact(13)).unwrap();
     let frontend = start_frontend(server.clone());
@@ -886,7 +884,6 @@ fn decide_codec_negotiation_matrix() {
     let path = "/v1/deployments/toy/decide";
     let states = vec![vec![0.1, -0.2], vec![0.0, 0.3]];
     let json_body = vrl_runtime::wire::decide_batch_request(&states);
-    let frame_body = frame::encode_decide_request(&states, true);
     let reference = server.decide_batch("toy", &states).unwrap();
 
     let post = |client: &mut MiniClient, content_type: Option<&str>, body: &[u8]| match content_type
@@ -897,62 +894,48 @@ fn decide_codec_negotiation_matrix() {
         None => client.request("POST", path, body).unwrap(),
     };
 
-    // No Content-Type, JSON content types, and unrecognized content types
-    // all take the JSON codec (the debuggable default).
-    for content_type in [None, Some("application/json"), Some("text/plain")] {
+    for content_type in [
+        None,
+        Some("application/json"),
+        Some("text/plain"),
+        Some("application/x-vrl-frame"),
+    ] {
         let response = post(&mut client, content_type, json_body.as_bytes());
         assert_eq!(response.status, 200, "{}", response.text());
         assert_eq!(response.header("content-type"), Some("application/json"));
         let decisions = vrl_runtime::wire::decode_decide_response(&response.body).unwrap();
         assert_eq!(decisions, reference, "{content_type:?}");
     }
-    // The frame content type takes the binary codec, with or without
-    // media-type parameters, case-insensitively.
-    for content_type in [
-        frame::CONTENT_TYPE_FRAME,
-        "application/x-vrl-frame; v=1",
-        "Application/X-VRL-Frame",
-    ] {
-        let response = post(&mut client, Some(content_type), &frame_body);
-        assert_eq!(response.status, 200, "{}", response.text());
-        assert_eq!(
-            response.header("content-type"),
-            Some(frame::CONTENT_TYPE_FRAME),
-            "{content_type}"
-        );
-        let decisions = frame::decode_decide_response(&response.body).unwrap();
-        assert_eq!(decisions, reference, "{content_type}");
+
+    // A binary body laid out like the retired `VRLW` decide frame (magic,
+    // version, kind, payload length, then flags, dim, count and raw f64
+    // bits) is just malformed JSON: a structured 400, and the keep-alive
+    // connection stays usable.
+    let mut payload = vec![1u8];
+    payload.extend_from_slice(&2u32.to_le_bytes());
+    payload.extend_from_slice(&2u32.to_le_bytes());
+    for value in states.iter().flatten() {
+        payload.extend_from_slice(&value.to_bits().to_le_bytes());
     }
-    // A content-type merely *prefixed* by the frame type is not the frame
-    // type; the JSON parser then rejects the binary body.
-    let response = post(&mut client, Some("application/x-vrl-frames"), &frame_body);
+    let mut binary_body = b"VRLW".to_vec();
+    binary_body.extend_from_slice(&1u32.to_le_bytes());
+    binary_body.push(1);
+    binary_body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    binary_body.extend_from_slice(&payload);
+    let response = post(&mut client, Some("application/x-vrl-frame"), &binary_body);
     assert_eq!(response.status, 400, "{}", response.text());
+    assert_eq!(response.header("content-type"), Some("application/json"));
     assert!(
         response.text().contains("malformed_json"),
         "{}",
         response.text()
     );
-    // Mismatched codec and body: structured 400s, never a hang or a panic.
-    let crossed = post(
-        &mut client,
-        Some(frame::CONTENT_TYPE_FRAME),
-        json_body.as_bytes(),
-    );
-    assert_eq!(crossed.status, 400, "{}", crossed.text());
-    assert!(
-        crossed.text().contains("malformed_frame"),
-        "{}",
-        crossed.text()
-    );
-    let crossed = post(&mut client, Some("application/json"), &frame_body);
-    assert_eq!(crossed.status, 400, "{}", crossed.text());
-    assert!(
-        crossed.text().contains("malformed_json"),
-        "{}",
-        crossed.text()
-    );
+    let response = post(&mut client, None, json_body.as_bytes());
+    assert_eq!(response.status, 200, "{}", response.text());
+    let decisions = vrl_runtime::wire::decode_decide_response(&response.body).unwrap();
+    assert_eq!(decisions, reference);
 
-    // The codec-labeled counters saw both sides of the matrix.
+    // The decode and encode phases of the served decides were clocked.
     let scrape = client.request("GET", "/metrics", b"").unwrap();
     let text = scrape.text().into_owned();
     let value_of = |series: &str| -> f64 {
@@ -962,8 +945,6 @@ fn decide_codec_negotiation_matrix() {
             .and_then(|v| v.parse().ok())
             .unwrap_or_else(|| panic!("series {series} not found"))
     };
-    assert!(value_of("vrl_http_decide_requests_total{codec=\"json\"}") >= 4.0);
-    assert!(value_of("vrl_http_decide_requests_total{codec=\"binary\"}") >= 4.0);
     assert!(value_of("vrl_http_codec_phase_seconds_count{phase=\"decode\"}") >= 1.0);
     assert!(value_of("vrl_http_codec_phase_seconds_count{phase=\"encode\"}") >= 1.0);
 

@@ -1,28 +1,24 @@
-//! Tri-codec decide conformance: JSON, binary frame, and in-process
-//! decisions must be bit-identical, and both wire codecs must enforce the
-//! identical non-finite-state policy.
+//! Decide conformance over the JSON wire codec: decisions served over
+//! HTTP must be bit-identical to the in-process ones, and no non-finite
+//! state may reach the shield.
 //!
 //! Three layers of evidence:
 //!
 //! 1. A sweep over every Table 1 benchmark (state dimensions 2–8, mixed
 //!    action dimensions, obstacles): the same deployment answers a batch of
-//!    sampled states over the JSON codec, over the binary frame codec, and
-//!    directly in-process, and all three decision lists are compared
-//!    bit-for-bit (`f64::to_bits` on every action coordinate).
-//! 2. The single-state (non-batched) frame shape round-trips through the
+//!    sampled states over JSON and directly in-process, and the two
+//!    decision lists are compared bit-for-bit (`f64::to_bits` on every
+//!    action coordinate).
+//! 2. The single-state (non-batched) request shape round-trips through the
 //!    same deployment and matches the scalar in-process decision.
-//! 3. Non-finite parity: a binary frame can smuggle NaN/inf *bit patterns*
-//!    that JSON cannot even spell, so the frame decoder must reject them
-//!    with the exact status and code (`422 non_finite_state`) the serving
-//!    core uses, while the JSON path keeps rejecting non-finite spellings
-//!    at parse time (`400 malformed_json`).  No codec may reach the shield
-//!    with a non-finite state.
+//! 3. JSON cannot spell NaN or ±inf, so non-finite spellings (and numbers
+//!    that overflow `f64`) are rejected at parse time with a structured
+//!    `400 malformed_json`, before any state exists.
 
 use std::sync::Arc;
 use std::time::Duration;
 use vrl::shield::ShieldDecision;
 use vrl_benchmarks::all_benchmarks;
-use vrl_runtime::frame;
 use vrl_runtime::http::{HttpConfig, HttpFrontend, MiniClient, ShieldBackend};
 use vrl_runtime::wire::{self, Json};
 use vrl_runtime::{fixtures, ShieldServer};
@@ -65,30 +61,25 @@ fn start_frontend(backend: Arc<dyn ShieldBackend>) -> HttpFrontend {
 
 fn assert_decisions_bit_identical(
     name: &str,
-    codec: &str,
     wire: &[ShieldDecision],
     reference: &[ShieldDecision],
 ) {
-    assert_eq!(
-        wire.len(),
-        reference.len(),
-        "{name}/{codec}: decision count"
-    );
+    assert_eq!(wire.len(), reference.len(), "{name}: decision count");
     for (i, (w, r)) in wire.iter().zip(reference.iter()).enumerate() {
-        assert_eq!(w.intervened, r.intervened, "{name}/{codec}: lane {i}");
-        assert_eq!(w.action.len(), r.action.len(), "{name}/{codec}: lane {i}");
+        assert_eq!(w.intervened, r.intervened, "{name}: lane {i}");
+        assert_eq!(w.action.len(), r.action.len(), "{name}: lane {i}");
         for (a, b) in w.action.iter().zip(r.action.iter()) {
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
-                "{name}/{codec}: lane {i} action bits diverged ({a} vs {b})"
+                "{name}: lane {i} action bits diverged ({a} vs {b})"
             );
         }
     }
 }
 
 #[test]
-fn decisions_bit_identical_across_json_binary_and_in_process_on_all_benchmarks() {
+fn decisions_bit_identical_over_json_and_in_process_on_all_benchmarks() {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -113,43 +104,22 @@ fn decisions_bit_identical_across_json_binary_and_in_process_on_all_benchmarks()
         let reference = server.decide_batch(name, &states).unwrap();
         let path = format!("/v1/deployments/{name}/decide");
 
-        // JSON codec.
-        let json_body = wire::decide_batch_request(&states);
-        let json_response = client.request("POST", &path, json_body.as_bytes()).unwrap();
-        assert_eq!(json_response.status, 200, "{}", json_response.text());
+        let body = wire::decide_batch_request(&states);
+        let response = client.request("POST", &path, body.as_bytes()).unwrap();
+        assert_eq!(response.status, 200, "{}", response.text());
         assert_eq!(
-            json_response.header("content-type"),
+            response.header("content-type"),
             Some("application/json"),
-            "{name}: JSON requests get JSON responses"
+            "{name}"
         );
-        let json_decisions = wire::decode_decide_response(&json_response.body).unwrap();
-        assert_decisions_bit_identical(name, "json", &json_decisions, &reference);
-
-        // Binary frame codec.
-        let frame_body = frame::encode_decide_request(&states, true);
-        let frame_response = client
-            .request_with_headers(
-                "POST",
-                &path,
-                &frame_body,
-                &[("content-type", frame::CONTENT_TYPE_FRAME)],
-            )
-            .unwrap();
-        assert_eq!(frame_response.status, 200, "{}", frame_response.text());
-        assert_eq!(
-            frame_response.header("content-type"),
-            Some(frame::CONTENT_TYPE_FRAME),
-            "{name}: binary requests get binary responses"
-        );
-        assert!(frame::response_is_batched(&frame_response.body).unwrap());
-        let frame_decisions = frame::decode_decide_response(&frame_response.body).unwrap();
-        assert_decisions_bit_identical(name, "binary", &frame_decisions, &reference);
+        let decisions = wire::decode_decide_response(&response.body).unwrap();
+        assert_decisions_bit_identical(name, &decisions, &reference);
     }
     frontend.shutdown();
 }
 
 #[test]
-fn single_state_binary_decide_matches_the_scalar_path() {
+fn single_state_json_decide_matches_the_scalar_path() {
     let env = vrl_benchmarks::benchmark_by_name("pendulum")
         .expect("pendulum")
         .into_env();
@@ -158,28 +128,38 @@ fn single_state_binary_decide_matches_the_scalar_path() {
     let frontend = start_frontend(Arc::clone(&server) as Arc<dyn ShieldBackend>);
     let mut client = MiniClient::connect(frontend.local_addr()).unwrap();
 
-    let state = vec![0.21, -0.38];
+    let state = [0.21, -0.38];
     let reference = server.decide("pendulum", &state).unwrap();
-    let body = frame::encode_decide_request(std::slice::from_ref(&state), false);
+    let body = format!("{{\"state\":[{},{}]}}", state[0], state[1]);
     let mut out = Vec::new();
-    let (status, binary) = client
+    let (status, json) = client
         .post_reusing(
             "/v1/deployments/pendulum/decide",
-            frame::CONTENT_TYPE_FRAME,
-            &body,
+            "application/json",
+            body.as_bytes(),
             &mut out,
         )
         .unwrap();
-    assert_eq!(status, 200);
-    assert!(binary, "the response must mirror the request codec");
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&out));
+    assert!(json, "decide responses are JSON");
+    let response = Json::parse(&out).unwrap();
     assert!(
-        !frame::response_is_batched(&out).unwrap(),
+        response.get("decisions").is_none(),
         "a non-batched request gets a non-batched response"
     );
-    let decisions = frame::decode_decide_response(&out).unwrap();
-    assert_eq!(decisions.len(), 1);
-    assert_eq!(decisions[0].intervened, reference.intervened);
-    for (a, b) in decisions[0].action.iter().zip(reference.action.iter()) {
+    let decision = response.get("decision").expect("single decision");
+    let Some(Json::Arr(action)) = decision.get("action") else {
+        panic!("decision without action: {}", String::from_utf8_lossy(&out));
+    };
+    assert_eq!(
+        decision.get("intervened"),
+        Some(&Json::Bool(reference.intervened))
+    );
+    assert_eq!(action.len(), reference.action.len());
+    for (a, b) in action.iter().zip(reference.action.iter()) {
+        let Json::Num(a) = a else {
+            panic!("action coordinate {a:?} is not a number");
+        };
         assert_eq!(a.to_bits(), b.to_bits());
     }
     frontend.shutdown();
@@ -188,11 +168,7 @@ fn single_state_binary_decide_matches_the_scalar_path() {
 /// Asserts a structured error envelope with the given status and code.
 fn assert_error_envelope(response: &vrl_runtime::MiniResponse, status: u16, code: &str) {
     assert_eq!(response.status, status, "{}", response.text());
-    assert_eq!(
-        response.header("content-type"),
-        Some("application/json"),
-        "error envelopes are JSON on both codec paths"
-    );
+    assert_eq!(response.header("content-type"), Some("application/json"));
     let json = Json::parse(&response.body).expect("error bodies are JSON");
     let error = json.get("error").expect("structured error envelope");
     assert_eq!(error.get("status"), Some(&Json::U64(status as u64)));
@@ -200,7 +176,7 @@ fn assert_error_envelope(response: &vrl_runtime::MiniResponse, status: u16, code
 }
 
 #[test]
-fn non_finite_states_are_rejected_identically_by_both_codecs() {
+fn non_finite_json_spellings_are_malformed_json() {
     let env = vrl_benchmarks::benchmark_by_name("pendulum")
         .expect("pendulum")
         .into_env();
@@ -210,33 +186,16 @@ fn non_finite_states_are_rejected_identically_by_both_codecs() {
     let mut client = MiniClient::connect(frontend.local_addr()).unwrap();
     let path = "/v1/deployments/pendulum/decide";
 
-    // The serving core's policy: a non-finite state is 422
-    // `non_finite_state`.  The binary frame codec can carry the raw bit
-    // patterns, so the decoder must enforce the identical policy for every
-    // non-finite flavor, in any lane of a batch.
-    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -f64::NAN] {
-        let states = vec![vec![0.1, 0.2], vec![bad, 0.0], vec![0.3, 0.4]];
-        let body = frame::encode_decide_request(&states, true);
-        let response = client
-            .request_with_headers(
-                "POST",
-                path,
-                &body,
-                &[("content-type", frame::CONTENT_TYPE_FRAME)],
-            )
-            .unwrap();
-        assert_error_envelope(&response, 422, "non_finite_state");
-    }
-
-    // JSON literally cannot spell those states: the parser rejects the
+    // JSON cannot spell a non-finite state: the parser rejects the
     // spellings (and numbers that overflow f64) before any state exists,
-    // so the JSON side of the differential is a parse-time 400 — and the
-    // shield is unreachable with a non-finite state through either codec.
+    // in single and batched requests alike.
     for body in [
         br#"{"state": [NaN, 0.0]}"#.as_slice(),
         br#"{"state": [Infinity, 0.0]}"#.as_slice(),
         br#"{"state": [-Infinity, 0.0]}"#.as_slice(),
+        br#"{"state": [1e400, 0.0]}"#.as_slice(),
         br#"{"state": [1e999, 0.0]}"#.as_slice(),
+        br#"{"states": [[0.1, 0.2], [0.0, -1e400], [0.3, 0.4]]}"#.as_slice(),
     ] {
         let response = client.request("POST", path, body).unwrap();
         assert_error_envelope(&response, 400, "malformed_json");
@@ -249,30 +208,16 @@ fn non_finite_states_are_rejected_identically_by_both_codecs() {
     assert_error_envelope(&response, 400, "invalid_request");
 
     // The finite control: the same batch with the bad lane repaired is
-    // served identically by both codecs.
+    // served bit-identically on the same connection.
     let states = vec![vec![0.1, 0.2], vec![0.0, 0.0], vec![0.3, 0.4]];
     let reference = server.decide_batch("pendulum", &states).unwrap();
-    let json = client
+    let response = client
         .request("POST", path, wire::decide_batch_request(&states).as_bytes())
         .unwrap();
-    let binary = client
-        .request_with_headers(
-            "POST",
-            path,
-            &frame::encode_decide_request(&states, true),
-            &[("content-type", frame::CONTENT_TYPE_FRAME)],
-        )
-        .unwrap();
+    assert_eq!(response.status, 200, "{}", response.text());
     assert_decisions_bit_identical(
         "pendulum",
-        "json",
-        &wire::decode_decide_response(&json.body).unwrap(),
-        &reference,
-    );
-    assert_decisions_bit_identical(
-        "pendulum",
-        "binary",
-        &frame::decode_decide_response(&binary.body).unwrap(),
+        &wire::decode_decide_response(&response.body).unwrap(),
         &reference,
     );
     frontend.shutdown();
