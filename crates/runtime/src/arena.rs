@@ -6,13 +6,15 @@
 //! buffers, the response head and body buffers, and the decoded state
 //! matrix ([`StateArena`]) all live for the whole connection and are
 //! *reused* across requests.  After the first few requests warm the
-//! capacities up, framing a decide request and encoding its JSON response
-//! perform no heap allocation.  Decoding the JSON request still does: it
-//! builds a [`Json`](crate::wire::Json) DOM before the states land in the
-//! arena.  Clients get the same treatment:
-//! [`MiniClient`](crate::http::MiniClient) and
-//! [`RemoteShard`](crate::remote::RemoteShard) hold persistent head and
-//! read buffers instead of allocating them per request.
+//! capacities up, framing a decide request, decoding its `state`/`states`
+//! body and encoding its JSON response perform no heap allocation: the
+//! decoder parses each number straight into its arena row, with no
+//! [`Json`](crate::wire::Json) tree in between.  What still allocates per decide is the backend's decision
+//! `Vec` and, with observability on, the request span's copy of its id.
+//! Clients get the same treatment: [`MiniClient`](crate::http::MiniClient)
+//! and [`RemoteShard`](crate::remote::RemoteShard) hold persistent head,
+//! request-body and read buffers instead of allocating them per request;
+//! decoding a decide response allocates one `Vec` per decision.
 //!
 //! The arena never shrinks.  That is deliberate: request sizes on one
 //! connection are strongly autocorrelated (a client that sent a 512-state

@@ -37,11 +37,11 @@
 //! for exactness.  Every connection owns a scratch pool
 //! (read buffer, body buffer, request path and id, response head and
 //! body, decoded state matrix — see `crate::arena`) reused across
-//! keep-alive requests, so steady-state framing and response encoding
-//! allocate nothing.  What still allocates per decide: the JSON request
-//! decode builds a [`wire::Json`] DOM, the backend returns its decisions
-//! in a fresh `Vec`, and with observability on the request span copies
-//! its id.
+//! keep-alive requests, so steady-state framing, request decoding and
+//! response encoding allocate nothing: the decide body is parsed straight
+//! into the state matrix, with no [`wire::Json`] tree.  What still
+//! allocates per decide: the backend returns its decisions in a fresh
+//! `Vec`, and with observability on the request span copies its id.
 //!
 //! # One write per message
 //!

@@ -342,6 +342,10 @@ pub struct RemoteShard {
     /// per-request but the buffer's capacity survives them, so steady-state
     /// shard traffic does not reallocate the write or read path.
     scratch: Mutex<Vec<u8>>,
+    /// Reusable decide request body.  A call takes it out for the whole
+    /// request, retries included, so concurrent calls never wait on it;
+    /// one that finds it taken encodes into a fresh buffer.
+    decide_body: Mutex<String>,
 }
 
 impl RemoteShard {
@@ -362,6 +366,7 @@ impl RemoteShard {
             breaker,
             jitter,
             scratch: Mutex::new(Vec::new()),
+            decide_body: Mutex::new(String::new()),
         }
     }
 
@@ -520,11 +525,12 @@ impl RemoteShard {
         if !states.iter().flatten().all(|x| x.is_finite()) {
             return Err(ServeError::NonFiniteState);
         }
-        let body = wire::decide_batch_request(states);
+        let mut body = std::mem::take(&mut *self.decide_body.lock().expect("body lock poisoned"));
+        wire::decide_batch_request_into(states, &mut body);
         let path = format!("/v1/deployments/{deployment}/decide");
-        let response = self
-            .request("POST", &path, body.as_bytes())
-            .map_err(ServeError::Remote)?;
+        let response = self.request("POST", &path, body.as_bytes());
+        *self.decide_body.lock().expect("body lock poisoned") = body;
+        let response = response.map_err(ServeError::Remote)?;
         if response.status != 200 {
             return Err(self.shard_error(deployment, &response));
         }

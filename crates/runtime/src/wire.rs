@@ -8,6 +8,13 @@
 //! exchanges.  There is no reflection and no external serialization crate —
 //! the workspace builds hermetically.
 //!
+//! The two decide bodies carry nearly all the traffic, so they skip the
+//! [`Json`] tree: [`decode_decide_request_into`] and
+//! [`decode_decide_response`] walk the bytes once with the same parser,
+//! putting each number straight into its state row or decision.  They
+//! return exactly what a [`Json::parse`] followed by a walk of the tree
+//! would; the other, low-traffic messages take that route.
+//!
 //! # Exactness
 //!
 //! `f64` values are rendered with Rust's `Display` formatting, which emits
@@ -38,8 +45,10 @@
 //! [`telemetry_response`], [`deployed_response`], [`health_response`], and
 //! [`error_body`] are the single source of truth for their shapes.
 
+use crate::arena::StateArena;
 use crate::telemetry::DeploymentTelemetry;
 use crate::ArtifactMetadata;
+use std::borrow::Cow;
 use std::fmt;
 use std::fmt::Write as _;
 use vrl::shield::ShieldDecision;
@@ -132,16 +141,10 @@ impl Json {
     /// Parses one complete JSON document; trailing non-whitespace is a
     /// syntax error.
     pub fn parse(bytes: &[u8]) -> Result<Json, WireError> {
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser::new(bytes);
         p.skip_ws();
         let value = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(WireError::Syntax {
-                at: p.pos,
-                expected: "end of input",
-            });
-        }
+        p.end()?;
         Ok(value)
     }
 
@@ -262,10 +265,22 @@ fn write_json_string(out: &mut String, s: &str) {
 
 struct Parser<'a> {
     bytes: &'a [u8],
+    /// `bytes` as text when the whole input is UTF-8: number tokens and
+    /// keys are then sliced out as `&str` without validating each again,
+    /// which costs nearly as much as parsing the number.
+    text: Option<&'a str>,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Parser {
+            bytes,
+            text: std::str::from_utf8(bytes).ok(),
+            pos: 0,
+        }
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
@@ -324,27 +339,51 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self, depth: usize) -> Result<Json, WireError> {
-        self.eat(b'{', "'{'")?;
         let mut pairs = Vec::new();
+        self.each_member(|p, key| {
+            let value = p.value(depth + 1)?;
+            pairs.push((key.into_owned(), value));
+            Ok(())
+        })?;
+        Ok(Json::Obj(pairs))
+    }
+
+    fn array(&mut self, depth: usize) -> Result<Json, WireError> {
+        let mut items = Vec::new();
+        self.each_item(|p| {
+            items.push(p.value(depth + 1)?);
+            Ok(())
+        })?;
+        Ok(Json::Arr(items))
+    }
+
+    /// Walks the object at the cursor, calling `member` with each key and
+    /// the cursor on that key's value; `member` must parse exactly that
+    /// value.  Syntax errors are those [`Json::parse`] reports, at the same
+    /// offsets: both parse objects through this walk.
+    fn each_member(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        self.eat(b'{', "'{'")?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(pairs));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.key()?;
             self.skip_ws();
             self.eat(b':', "':' after object key")?;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(pairs));
+                    return Ok(());
                 }
                 _ => {
                     return Err(WireError::Syntax {
@@ -356,23 +395,27 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, WireError> {
+    /// Walks the array at the cursor, calling `item` with the cursor on
+    /// each element; `item` must parse exactly that element.
+    fn each_item(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
         self.eat(b'[', "'['")?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(());
                 }
                 _ => {
                     return Err(WireError::Syntax {
@@ -381,6 +424,48 @@ impl<'a> Parser<'a> {
                     })
                 }
             }
+        }
+    }
+
+    /// An object key: borrowed from the input when it holds no escape,
+    /// else decoded by [`Parser::string`], which also reports every
+    /// malformed key.
+    fn key(&mut self) -> Result<Cow<'a, str>, WireError> {
+        let bytes = self.bytes;
+        if self.peek() == Some(b'"') {
+            let start = self.pos + 1;
+            let span = bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .map(|len| start + len);
+            if let Some(end) = span.filter(|&end| bytes[end] == b'"') {
+                if let Some(key) = self.slice(start, end) {
+                    self.pos = end + 1;
+                    return Ok(Cow::Borrowed(key));
+                }
+            }
+        }
+        self.string().map(Cow::Owned)
+    }
+
+    /// The input from `start` to `end` as text; `None` when it is not UTF-8.
+    fn slice(&self, start: usize, end: usize) -> Option<&'a str> {
+        match self.text {
+            Some(text) => text.get(start..end),
+            None => std::str::from_utf8(&self.bytes[start..end]).ok(),
+        }
+    }
+
+    /// Skips trailing whitespace and requires the end of the input.
+    fn end(&mut self) -> Result<(), WireError> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(WireError::Syntax {
+                at: self.pos,
+                expected: "end of input",
+            })
         }
     }
 
@@ -505,33 +590,30 @@ impl<'a> Parser<'a> {
     }
 
     fn number(&mut self) -> Result<Json, WireError> {
+        let bytes = self.bytes;
         let start = self.pos;
-        let mut integer_literal = true;
-        if self.peek() == Some(b'-') {
-            integer_literal = false;
-            self.pos += 1;
+        let digits = |at: usize| {
+            at + bytes[at..]
+                .iter()
+                .take_while(|b| b.is_ascii_digit())
+                .count()
+        };
+        let negative = bytes.get(start) == Some(&b'-');
+        self.pos = digits(start + usize::from(negative));
+        let fraction = self.peek() == Some(b'.');
+        if fraction {
+            self.pos = digits(self.pos + 1);
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            integer_literal = false;
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            integer_literal = false;
+        let exponent = matches!(self.peek(), Some(b'e' | b'E'));
+        if exponent {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.pos = digits(self.pos);
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
+        let integer_literal = !(negative || fraction || exponent);
+        let text = self.slice(start, self.pos).expect("ASCII digits");
         // Nonnegative integer literals that fit a u64 stay exact; wider
         // integers (and everything signed / fractional / exponential)
         // take the f64 path, exactly as before.
@@ -550,157 +632,206 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// A decoded `POST …/decide` body: the states to evaluate plus whether the
-/// client used the batched shape (`"states"`) or the single shape
-/// (`"state"`), which controls the response framing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecideRequest {
-    /// States to decide, in request order.
-    pub states: Vec<Vec<f64>>,
-    /// True when the request used `"states"` (a batch), false for
-    /// `"state"`.
-    pub batched: bool,
-}
+/// What parsing one value of a decide body yields.  The outer `Err` is a
+/// syntax error, which ends the parse.  The inner one is a schema error,
+/// which waits for the rest of the document, since a later syntax error
+/// outranks it.
+type Shaped<T> = Result<Result<T, WireError>, WireError>;
 
-/// Decodes a decide request body, accepting exactly one of `"state"` (a
-/// single state vector) or `"states"` (a batch of state vectors).
-///
-/// # Errors
-///
-/// [`WireError::Syntax`] on malformed JSON, [`WireError::Schema`] on a
-/// well-formed body of the wrong shape, and [`WireError::BatchTooLarge`]
-/// when the batch exceeds `max_batch`.
-pub fn decode_decide_request(body: &[u8], max_batch: usize) -> Result<DecideRequest, WireError> {
-    let json = Json::parse(body)?;
-    let state = json.get("state");
-    let states = json.get("states");
-    match (state, states) {
-        (Some(_), Some(_)) => Err(WireError::Schema(
-            "provide either \"state\" or \"states\", not both".to_string(),
-        )),
-        (Some(value), None) => Ok(DecideRequest {
-            states: vec![number_vec(value, "state")?],
-            batched: false,
-        }),
-        (None, Some(value)) => {
-            let rows = match value {
-                Json::Arr(rows) => rows,
-                _ => {
-                    return Err(WireError::Schema(
-                        "\"states\" must be an array of state vectors".to_string(),
-                    ))
-                }
-            };
-            if rows.len() > max_batch {
-                return Err(WireError::BatchTooLarge {
-                    len: rows.len(),
-                    max: max_batch,
-                });
-            }
-            let states = rows
-                .iter()
-                .map(|row| number_vec(row, "states[i]"))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(DecideRequest {
-                states,
-                batched: true,
-            })
+// The decide walks below parse containers at depths 0 to 3 without the
+// depth check `Parser::value` makes; that check could not fail there.
+const _: () = assert!(MAX_JSON_DEPTH >= 3);
+
+/// The typed walks of the two decide bodies.  Each walk parses exactly the
+/// bytes `Parser::value` would, with the same syntax errors at the same
+/// offsets, and only the values it keeps skip the [`Json`] tree: numbers
+/// go straight to their destination, and everything else is parsed with
+/// `value` and dropped.
+impl<'a> Parser<'a> {
+    /// Parses one complete document, walking the members of a top-level
+    /// object with `member`; any other top-level value has no members.
+    fn members(
+        bytes: &'a [u8],
+        member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        let mut p = Parser::new(bytes);
+        p.skip_ws();
+        if p.peek() == Some(b'{') {
+            p.each_member(member)?;
+        } else {
+            p.value(0)?;
         }
-        (None, None) => Err(WireError::Schema(
-            "body must contain \"state\" or \"states\"".to_string(),
-        )),
+        p.end()
+    }
+
+    /// Parses the value at the cursor, at `depth`, as an array of numbers
+    /// appended to `out`; the schema error names `field`.
+    fn numbers(&mut self, depth: usize, field: &str, out: &mut Vec<f64>) -> Shaped<()> {
+        if self.peek() != Some(b'[') {
+            self.value(depth)?;
+            return Ok(Err(WireError::Schema(format!(
+                "\"{field}\" must be an array of numbers"
+            ))));
+        }
+        let mut shape = Ok(());
+        self.each_item(|p| {
+            match p.value(depth + 1)?.as_f64() {
+                Some(v) => out.push(v),
+                None if shape.is_ok() => {
+                    shape = Err(WireError::Schema(format!(
+                        "\"{field}\" must contain only numbers"
+                    )));
+                }
+                None => {}
+            }
+            Ok(())
+        })?;
+        Ok(shape)
+    }
+
+    /// Parses the value at the cursor as the batch of a `"states"` request,
+    /// one arena row per state.  Every row is counted, so
+    /// [`WireError::BatchTooLarge`] carries the full count, but rows past
+    /// `max_batch` or after a malformed row are only parsed.
+    fn state_rows(&mut self, max_batch: usize, arena: &mut StateArena) -> Shaped<()> {
+        if self.peek() != Some(b'[') {
+            self.value(1)?;
+            return Ok(Err(WireError::Schema(
+                "\"states\" must be an array of state vectors".to_string(),
+            )));
+        }
+        let mut len = 0;
+        let mut shape = Ok(());
+        self.each_item(|p| {
+            len += 1;
+            if len <= max_batch && shape.is_ok() {
+                shape = p.numbers(2, "states[i]", arena.push_row())?;
+            } else {
+                p.value(2)?;
+            }
+            Ok(())
+        })?;
+        if len > max_batch {
+            return Ok(Err(WireError::BatchTooLarge {
+                len,
+                max: max_batch,
+            }));
+        }
+        Ok(shape)
+    }
+
+    /// Parses the value at the cursor as the `"decisions"` array of a
+    /// batched decide response.
+    fn decisions(&mut self) -> Shaped<Vec<ShieldDecision>> {
+        if self.peek() != Some(b'[') {
+            self.value(1)?;
+            return Ok(Err(no_decisions_array()));
+        }
+        let mut decoded = Ok(Vec::new());
+        self.each_item(|p| {
+            match &mut decoded {
+                Ok(list) => match p.decision()? {
+                    Ok(decision) => list.push(decision),
+                    Err(error) => decoded = Err(error),
+                },
+                Err(_) => {
+                    p.value(2)?;
+                }
+            }
+            Ok(())
+        })?;
+        Ok(decoded)
+    }
+
+    /// Parses the value at the cursor as one decision,
+    /// `{"action": [...], "intervened": bool}`.  A bad `"action"` outranks
+    /// a bad `"intervened"` wherever each appears.
+    fn decision(&mut self) -> Shaped<ShieldDecision> {
+        let no_action = || WireError::Schema("decision without \"action\"".to_string());
+        if self.peek() != Some(b'{') {
+            self.value(2)?;
+            return Ok(Err(no_action()));
+        }
+        let mut action = None;
+        let mut intervened = None;
+        self.each_member(|p, key| {
+            match &*key {
+                "action" if action.is_none() => {
+                    let mut values = Vec::new();
+                    action = Some(p.numbers(3, "action", &mut values)?.map(|()| values));
+                }
+                "intervened" if intervened.is_none() => intervened = Some(p.value(3)?),
+                _ => {
+                    p.value(3)?;
+                }
+            }
+            Ok(())
+        })?;
+        Ok(match (action, intervened) {
+            (None, _) => Err(no_action()),
+            (Some(Err(error)), _) => Err(error),
+            (Some(Ok(action)), Some(Json::Bool(intervened))) => {
+                Ok(ShieldDecision { action, intervened })
+            }
+            (Some(Ok(_)), _) => Err(WireError::Schema(
+                "decision without boolean \"intervened\"".to_string(),
+            )),
+        })
     }
 }
 
-/// Decodes a decide request body into `arena` (reset first), returning
-/// whether the request was batched — the arena-backed twin of
-/// [`decode_decide_request`] the HTTP front-end serves from, so the
-/// decoded state matrix is reused across a connection's keep-alive
-/// requests instead of reallocated per request.
+fn no_decisions_array() -> WireError {
+    WireError::Schema("response has no \"decisions\" array".to_string())
+}
+
+/// Decodes a `POST …/decide` body into `arena` (reset first), accepting
+/// exactly one of `"state"` (a single state vector) or `"states"` (a batch
+/// of state vectors).  Returns whether the request used the batched shape,
+/// which controls the response framing.
+///
+/// The body is walked once and no [`Json`] value is built: each number
+/// lands in its arena row as it is parsed, and the rows keep their
+/// allocations across a connection's keep-alive requests.  The result is
+/// the one a [`Json::parse`] of the body followed by a walk of the tree
+/// would give: a syntax error anywhere outranks a schema error, the first
+/// occurrence of a duplicate key wins, and other keys are parsed and
+/// ignored.
 ///
 /// # Errors
 ///
-/// As [`decode_decide_request`].
+/// [`WireError::Syntax`] / [`WireError::TooDeep`] on malformed JSON,
+/// [`WireError::Schema`] on a well-formed body of the wrong shape, and
+/// [`WireError::BatchTooLarge`] when the batch exceeds `max_batch`.
 pub fn decode_decide_request_into(
     body: &[u8],
     max_batch: usize,
-    arena: &mut crate::arena::StateArena,
+    arena: &mut StateArena,
 ) -> Result<bool, WireError> {
     arena.reset();
-    let json = Json::parse(body)?;
-    let state = json.get("state");
-    let states = json.get("states");
-    match (state, states) {
+    let mut single = None;
+    let mut batch = None;
+    Parser::members(body, |p, key| {
+        match &*key {
+            "state" if single.is_none() => {
+                single = Some(p.numbers(1, "state", arena.push_row())?);
+            }
+            "states" if batch.is_none() => batch = Some(p.state_rows(max_batch, arena)?),
+            _ => {
+                p.value(1)?;
+            }
+        }
+        Ok(())
+    })?;
+    match (single, batch) {
         (Some(_), Some(_)) => Err(WireError::Schema(
             "provide either \"state\" or \"states\", not both".to_string(),
         )),
-        (Some(value), None) => {
-            number_vec_into(value, "state", arena.push_row())?;
-            Ok(false)
-        }
-        (None, Some(value)) => {
-            let rows = match value {
-                Json::Arr(rows) => rows,
-                _ => {
-                    return Err(WireError::Schema(
-                        "\"states\" must be an array of state vectors".to_string(),
-                    ))
-                }
-            };
-            if rows.len() > max_batch {
-                return Err(WireError::BatchTooLarge {
-                    len: rows.len(),
-                    max: max_batch,
-                });
-            }
-            for row in rows {
-                number_vec_into(row, "states[i]", arena.push_row())?;
-            }
-            Ok(true)
-        }
+        (Some(shape), None) => shape.map(|()| false),
+        (None, Some(shape)) => shape.map(|()| true),
         (None, None) => Err(WireError::Schema(
             "body must contain \"state\" or \"states\"".to_string(),
         )),
     }
-}
-
-/// Decodes a JSON array of numbers into `out` (assumed cleared).
-fn number_vec_into(value: &Json, field: &str, out: &mut Vec<f64>) -> Result<(), WireError> {
-    let items = match value {
-        Json::Arr(items) => items,
-        _ => {
-            return Err(WireError::Schema(format!(
-                "\"{field}\" must be an array of numbers"
-            )))
-        }
-    };
-    out.reserve(items.len());
-    for item in items {
-        out.push(
-            item.as_f64().ok_or_else(|| {
-                WireError::Schema(format!("\"{field}\" must contain only numbers"))
-            })?,
-        );
-    }
-    Ok(())
-}
-
-fn number_vec(value: &Json, field: &str) -> Result<Vec<f64>, WireError> {
-    let items = match value {
-        Json::Arr(items) => items,
-        _ => {
-            return Err(WireError::Schema(format!(
-                "\"{field}\" must be an array of numbers"
-            )))
-        }
-    };
-    items
-        .iter()
-        .map(|item| {
-            item.as_f64()
-                .ok_or_else(|| WireError::Schema(format!("\"{field}\" must contain only numbers")))
-        })
-        .collect()
 }
 
 /// Encodes a decide response into `out` (cleared first, capacity kept).
@@ -840,20 +971,28 @@ pub fn undeployed_response(deployment: &str) -> String {
     .render()
 }
 
-/// Encodes a batched decide request (`{"states": [[...], ...]}`) — the
-/// client half of [`decode_decide_request`].  Each coordinate renders with
+/// Encodes a batched decide request (`{"states": [[...], ...]}`) into
+/// `out`, cleared first so its capacity is reused: the client half of
+/// [`decode_decide_request_into`].  Each coordinate renders with
 /// shortest-round-trip precision, so the shard evaluates exactly the bits
 /// the client held.
-#[must_use]
-pub fn decide_batch_request(states: &[Vec<f64>]) -> String {
-    let mut out = String::from("{\"states\":[");
+pub fn decide_batch_request_into(states: &[Vec<f64>], out: &mut String) {
+    out.clear();
+    out.push_str("{\"states\":[");
     for (i, state) in states.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        write_f64_array(&mut out, state);
+        write_f64_array(out, state);
     }
     out.push_str("]}");
+}
+
+/// [`decide_batch_request_into`] into a fresh `String`.
+#[must_use]
+pub fn decide_batch_request(states: &[Vec<f64>]) -> String {
+    let mut out = String::new();
+    decide_batch_request_into(states, &mut out);
     out
 }
 
@@ -863,35 +1002,25 @@ pub fn decide_batch_request(states: &[Vec<f64>]) -> String {
 /// parses back to the identical bit pattern, so a decision that crosses the
 /// wire twice (shard → router → client) is still bit-exact.
 ///
+/// Like [`decode_decide_request_into`], it walks the body once without
+/// building a [`Json`] value; each decision's action is the only
+/// allocation it keeps.  Errors rank as in a walk of the parsed tree.
+///
 /// # Errors
 ///
-/// [`WireError::Syntax`] on malformed JSON, [`WireError::Schema`] when the
-/// body is not a batched decide response.
+/// [`WireError::Syntax`] / [`WireError::TooDeep`] on malformed JSON,
+/// [`WireError::Schema`] when the body is not a batched decide response.
 pub fn decode_decide_response(body: &[u8]) -> Result<Vec<ShieldDecision>, WireError> {
-    let json = Json::parse(body)?;
-    let Some(Json::Arr(rows)) = json.get("decisions") else {
-        return Err(WireError::Schema(
-            "response has no \"decisions\" array".to_string(),
-        ));
-    };
-    rows.iter()
-        .map(|row| {
-            let action = number_vec(
-                row.get("action")
-                    .ok_or_else(|| WireError::Schema("decision without \"action\"".to_string()))?,
-                "action",
-            )?;
-            let intervened = match row.get("intervened") {
-                Some(Json::Bool(b)) => *b,
-                _ => {
-                    return Err(WireError::Schema(
-                        "decision without boolean \"intervened\"".to_string(),
-                    ))
-                }
-            };
-            Ok(ShieldDecision { action, intervened })
-        })
-        .collect()
+    let mut decisions = None;
+    Parser::members(body, |p, key| {
+        if key == "decisions" && decisions.is_none() {
+            decisions = Some(p.decisions()?);
+        } else {
+            p.value(1)?;
+        }
+        Ok(())
+    })?;
+    decisions.unwrap_or_else(|| Err(no_decisions_array()))
 }
 
 /// Decodes the generation from an artifact-`PUT` success response.
@@ -1023,6 +1152,9 @@ pub fn error_body(status: u16, code: &str, message: &str, request_id: &str) -> S
 }
 
 #[cfg(test)]
+mod differential;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1099,6 +1231,37 @@ mod tests {
     }
 
     #[test]
+    fn object_keys_decode_as_string_values_do() {
+        // Keys without escapes are borrowed from the input and the rest go
+        // through `string`: either way a key reads, or fails, exactly as the
+        // same bytes do as a string value.
+        let keys: &[&[u8]] = &[
+            b"\"plain\"",
+            b"\"\"",
+            b"\"st\\u0061te\"",
+            b"\"a\\\"b\\\\c\\/\"",
+            b"\"\xc3\xa9\\ud83d\\ude00\"",
+            b"\"\\ud83d\"",
+            b"\"\\q\"",
+            b"\"\xff\"",
+            b"\"a\x01\"",
+            b"\"unterminated",
+            b"\"escape at end\\",
+        ];
+        for key in keys {
+            let object = Json::parse(&[b"{", *key, b":1}"].concat());
+            let array = Json::parse(&[b"[", *key, b",1]"].concat());
+            let text = String::from_utf8_lossy(key);
+            match (object, array) {
+                (Ok(Json::Obj(pairs)), Ok(Json::Arr(items))) => {
+                    assert_eq!(Json::Str(pairs[0].0.clone()), items[0], "{text}");
+                }
+                (object, array) => assert_eq!(object, array, "{text}"),
+            }
+        }
+    }
+
+    #[test]
     fn malformed_inputs_error_without_panicking() {
         let cases: &[&[u8]] = &[
             b"",
@@ -1139,16 +1302,21 @@ mod tests {
         assert!(Json::parse(&ok).is_ok());
     }
 
+    /// [`decode_decide_request_into`] on a fresh arena, as owned rows.
+    fn decode_request(body: &[u8], max_batch: usize) -> Result<(Vec<Vec<f64>>, bool), WireError> {
+        let mut arena = StateArena::new();
+        let batched = decode_decide_request_into(body, max_batch, &mut arena)?;
+        Ok((arena.rows().to_vec(), batched))
+    }
+
     #[test]
     fn decide_requests_decode_both_shapes() {
-        let single = decode_decide_request(br#"{"state": [0.25, -0.5]}"#, 16).unwrap();
-        assert_eq!(single.states, vec![vec![0.25, -0.5]]);
-        assert!(!single.batched);
-        let batch = decode_decide_request(br#"{"states": [[1], [2], [3]]}"#, 16).unwrap();
-        assert_eq!(batch.states, vec![vec![1.0], vec![2.0], vec![3.0]]);
-        assert!(batch.batched);
-        let empty = decode_decide_request(br#"{"states": []}"#, 16).unwrap();
-        assert!(empty.states.is_empty());
+        let single = decode_request(br#"{"state": [0.25, -0.5]}"#, 16).unwrap();
+        assert_eq!(single, (vec![vec![0.25, -0.5]], false));
+        let batch = decode_request(br#"{"states": [[1], [2], [3]]}"#, 16).unwrap();
+        assert_eq!(batch, (vec![vec![1.0], vec![2.0], vec![3.0]], true));
+        let empty = decode_request(br#"{"states": []}"#, 16).unwrap();
+        assert!(empty.0.is_empty());
     }
 
     #[test]
@@ -1164,7 +1332,7 @@ mod tests {
         ];
         for case in cases {
             assert!(
-                matches!(decode_decide_request(case, 16), Err(WireError::Schema(_))),
+                matches!(decode_request(case, 16), Err(WireError::Schema(_))),
                 "{} must be a schema error",
                 String::from_utf8_lossy(case)
             );
@@ -1178,10 +1346,10 @@ mod tests {
             std::iter::repeat_n("[0]", 9).collect::<Vec<_>>().join(",")
         );
         assert_eq!(
-            decode_decide_request(body.as_bytes(), 8),
+            decode_request(body.as_bytes(), 8),
             Err(WireError::BatchTooLarge { len: 9, max: 8 })
         );
-        assert!(decode_decide_request(body.as_bytes(), 9).is_ok());
+        assert!(decode_request(body.as_bytes(), 9).is_ok());
     }
 
     #[test]
@@ -1191,14 +1359,14 @@ mod tests {
         // errors or clean parses, never a panic.
         let valid = br#"{"states": [[0.1, -2.5e-3], [1, 2]], "tag": "x\u00e9"}"#;
         for len in 0..valid.len() {
-            let _ = decode_decide_request(&valid[..len], 64);
+            let _ = decode_request(&valid[..len], 64);
         }
         for i in 0..valid.len() {
             let mut mutated = valid.to_vec();
             mutated[i] ^= 0x15;
-            let _ = decode_decide_request(&mutated, 64);
+            let _ = decode_request(&mutated, 64);
             mutated[i] = 0xFF;
-            let _ = decode_decide_request(&mutated, 64);
+            let _ = decode_request(&mutated, 64);
         }
     }
 
@@ -1214,17 +1382,21 @@ mod tests {
             vec![123456.78901234567, 4_503_599_627_370_497.0, 1e-300],
         ];
         let body = decide_batch_request(&states);
-        let decoded = decode_decide_request(body.as_bytes(), states.len()).unwrap();
-        assert!(decoded.batched);
-        assert_eq!(decoded.states.len(), states.len());
-        for (sent, got) in states.iter().zip(decoded.states.iter()) {
+        let (decoded, batched) = decode_request(body.as_bytes(), states.len()).unwrap();
+        assert!(batched);
+        assert_eq!(decoded.len(), states.len());
+        for (sent, got) in states.iter().zip(decoded.iter()) {
             let sent: Vec<u64> = sent.iter().map(|v| v.to_bits()).collect();
             let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
             assert_eq!(sent, got, "via {body}");
         }
         // An empty batch is a valid (empty) request.
-        let empty = decode_decide_request(decide_batch_request(&[]).as_bytes(), 0).unwrap();
-        assert!(empty.batched && empty.states.is_empty());
+        let empty = decode_request(decide_batch_request(&[]).as_bytes(), 0).unwrap();
+        assert!(empty.1 && empty.0.is_empty());
+        // The reusing encoder writes the same bytes over a dirty buffer.
+        let mut reused = String::from("stale");
+        decide_batch_request_into(&states, &mut reused);
+        assert_eq!(reused, body);
     }
 
     #[test]
@@ -1237,45 +1409,11 @@ mod tests {
             assert_eq!(body, "{\"states\":[[0.5,null]]}");
             assert!(
                 matches!(
-                    decode_decide_request(body.as_bytes(), 8),
+                    decode_request(body.as_bytes(), 8),
                     Err(WireError::Schema(_))
                 ),
                 "{bad} must not decode as a state"
             );
-        }
-    }
-
-    #[test]
-    fn arena_decoder_agrees_with_the_allocating_decoder() {
-        let corpus: &[&[u8]] = &[
-            br#"{"state": [0.25, -0.5]}"#,
-            br#"{"states": [[1], [2, 3], []]}"#,
-            br#"{"states": []}"#,
-            br#"{"states": [[0], [0], [0]]}"#,
-            b"{}",
-            b"{\"state\": 1}",
-            b"{\"states\": [[1], 2]}",
-            b"{\"state\": [1], \"states\": [[1]]}",
-            b"{\"states\": [[1], [\"x\"]]}",
-            b"{\"state\": [NaN]}",
-            b"[1,2]",
-            b"",
-            b"{\"states\": [[0.1, 0.2",
-        ];
-        let mut arena = crate::arena::StateArena::new();
-        for body in corpus {
-            // A stale row from the previous body must never leak through.
-            arena.push_row().push(f64::NAN);
-            let allocating = decode_decide_request(body, 2);
-            let into = decode_decide_request_into(body, 2, &mut arena);
-            let text = String::from_utf8_lossy(body);
-            match allocating {
-                Ok(request) => {
-                    assert_eq!(into, Ok(request.batched), "{text}");
-                    assert_eq!(arena.rows(), request.states.as_slice(), "{text}");
-                }
-                Err(error) => assert_eq!(into, Err(error), "{text}"),
-            }
         }
     }
 

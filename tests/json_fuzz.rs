@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use vrl_runtime::http::{HttpConfig, HttpFrontend, MiniClient, ShieldBackend};
 use vrl_runtime::wire::{self, Json, MAX_JSON_DEPTH};
-use vrl_runtime::{fixtures, ShieldServer};
+use vrl_runtime::{fixtures, ShieldServer, StateArena};
 
 const DECIDE: &str = "/v1/deployments/pendulum/decide";
 
@@ -90,11 +90,12 @@ fn every_truncation_is_a_clean_400() {
     let (frontend, _server) = pendulum_frontend();
     let mut client = MiniClient::connect(frontend.local_addr()).unwrap();
     let whole = valid_request();
+    let mut arena = StateArena::new();
     assert_eq!(post(&mut client, &whole).0, 200, "the intact body serves");
     for len in 0..whole.len() {
         // Unit level: a strict prefix of an object never parses.
         assert!(
-            wire::decode_decide_request(&whole[..len], MAX_BATCH).is_err(),
+            wire::decode_decide_request_into(&whole[..len], MAX_BATCH, &mut arena).is_err(),
             "truncation to {len} bytes must not decode"
         );
         // Wire level: same truncation, structured 400, connection intact.
@@ -113,11 +114,12 @@ fn bit_flips_never_panic_and_structural_flips_always_reject() {
     let (frontend, _server) = pendulum_frontend();
     let mut client = MiniClient::connect(frontend.local_addr()).unwrap();
     let whole = valid_request();
+    let mut arena = StateArena::new();
     for offset in 0..whole.len() {
         for bit in 0..8 {
             let mut corrupted = whole.clone();
             corrupted[offset] ^= 1 << bit;
-            let decoded = wire::decode_decide_request(&corrupted, MAX_BATCH);
+            let decoded = wire::decode_decide_request_into(&corrupted, MAX_BATCH, &mut arena);
             let (status, code) = post(&mut client, &corrupted);
             // The server's verdict follows the decoder's: a body that does
             // not parse is a 400 malformed_json, never served.
@@ -167,8 +169,9 @@ fn random_mutations_always_get_a_structured_answer() {
         corrupted
     };
     // Unit level for 500: decoding returns cleanly.
+    let mut arena = StateArena::new();
     for _ in 0..500 {
-        let _ = wire::decode_decide_request(&mutate(&mut rng), MAX_BATCH);
+        let _ = wire::decode_decide_request_into(&mutate(&mut rng), MAX_BATCH, &mut arena);
     }
     // Wire level for a subset (each request is a full HTTP round trip).
     for _ in 0..64 {
