@@ -1,24 +1,21 @@
 //! Compiled-kernel evaluation benchmarks: reference (sparse `BTreeMap`)
-//! polynomial evaluation vs the flat [`CompiledPolynomial`] /
-//! [`CompiledPolySet`] kernels (point and interval, scalar and
-//! lane-batched), plus branch-and-bound end-to-end — the pendulum and
-//! cartpole induction queries, a traversal-invariant dense deep proof, and
-//! a query-cache re-proof loop — and a compiled-shield serving throughput
-//! probe.
+//! polynomial evaluation vs the flat compiled kernels (point: scalar and
+//! lane-batched; interval: scalar), a query-cache re-proof loop, and a
+//! compiled-shield serving throughput probe.  Branch-and-bound end to end
+//! is timed by loopbench's `verify` workload, not here.
 //!
 //! Besides the usual per-benchmark timing output, this bench records its
 //! headline numbers (reference vs compiled, speedups, decisions/sec) in
-//! `BENCH_eval.json` at the workspace root.
+//! `BENCH_eval.json` at the workspace root, each section stamped with the
+//! core count, CPU features and build profile it ran on.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
-use vrl::poly::{
-    basis_size, monomial_basis, BatchBoxes, BatchPoints, Interval, PolyScratch, Polynomial,
-};
+use vrl::poly::{basis_size, monomial_basis, BatchPoints, Interval, PolyScratch, Polynomial};
 use vrl::solver::{
-    prove_bound, query_cache_stats, reset_query_cache, BoundQuery, BranchBoundConfig, ProofOutcome,
+    prove_bound, query_cache_stats, reset_query_cache, BoundQuery, BranchBoundConfig,
 };
 use vrl_benchmarks::benchmark_by_name;
 use vrl_runtime::{fixtures, ShieldServer};
@@ -73,7 +70,6 @@ struct KernelNumbers {
     point_batch: f64,
     interval_reference: f64,
     interval_compiled: f64,
-    interval_batch: f64,
 }
 
 fn bench_eval_kernels(c: &mut Criterion) -> KernelNumbers {
@@ -82,10 +78,8 @@ fn bench_eval_kernels(c: &mut Criterion) -> KernelNumbers {
     let points = sample_points(4096, p.nvars(), 7);
     let batch = BatchPoints::from_states(p.nvars(), &points);
     let boxes = sample_boxes(4096, p.nvars(), 8);
-    let box_batch = BatchBoxes::from_boxes(p.nvars(), &boxes);
     let mut scratch = PolyScratch::new();
     let mut batch_out = Vec::new();
-    let mut interval_out: Vec<Interval> = Vec::new();
 
     let mut group = c.benchmark_group("eval_kernels/dense_deg4_4var");
     group.sample_size(20);
@@ -133,16 +127,6 @@ fn bench_eval_kernels(c: &mut Criterion) -> KernelNumbers {
             acc
         })
     });
-    group.bench_function("interval/batch", |b| {
-        b.iter(|| {
-            compiled.evaluate_interval_batch_with(
-                black_box(&box_batch),
-                &mut interval_out,
-                &mut scratch,
-            );
-            interval_out.iter().map(Interval::hi).sum::<f64>()
-        })
-    });
     group.finish();
 
     // Headline numbers for BENCH_eval.json (seconds per 4096 evaluations).
@@ -180,20 +164,11 @@ fn bench_eval_kernels(c: &mut Criterion) -> KernelNumbers {
         }
         black_box(acc);
     });
-    let interval_batch = time_per_pass(20, || {
-        compiled.evaluate_interval_batch_with(
-            black_box(&box_batch),
-            &mut interval_out,
-            &mut scratch,
-        );
-        black_box(interval_out.iter().map(Interval::hi).sum::<f64>());
-    });
     println!(
-        "  -> point eval speedup: {:.2}x scalar-compiled, {:.2}x batch-compiled; interval eval speedup: {:.2}x scalar-compiled, {:.2}x batch-compiled",
+        "  -> point eval speedup: {:.2}x scalar-compiled, {:.2}x batch-compiled; interval eval speedup: {:.2}x compiled",
         point_reference / point_compiled,
         point_reference / point_batch,
         interval_reference / interval_compiled,
-        interval_reference / interval_batch
     );
     KernelNumbers {
         point_reference,
@@ -201,87 +176,6 @@ fn bench_eval_kernels(c: &mut Criterion) -> KernelNumbers {
         point_batch,
         interval_reference,
         interval_compiled,
-        interval_batch,
-    }
-}
-
-/// The pre-compilation branch-and-bound loop (the seed implementation):
-/// interval evaluation straight off the sparse representation, fresh
-/// `collect()`s per node.  Kept here as the end-to-end baseline.
-fn reference_prove_bound(
-    objective: &Polynomial,
-    bound: f64,
-    guards: &[&Polynomial],
-    domain: &[Interval],
-    config: &BranchBoundConfig,
-) -> ProofOutcome {
-    let mut stack: Vec<Vec<Interval>> = vec![domain.to_vec()];
-    let mut boxes_examined = 0usize;
-    let mut undecided = false;
-    while let Some(current) = stack.pop() {
-        boxes_examined += 1;
-        if boxes_examined > config.max_boxes {
-            return ProofOutcome::Unknown {
-                boxes_examined,
-                worst_box: None,
-            };
-        }
-        if guards.iter().any(|g| g.eval_interval(&current).lo() > 0.0) {
-            continue;
-        }
-        let enclosure = objective.eval_interval(&current);
-        if enclosure.hi() <= bound + config.tolerance {
-            continue;
-        }
-        let midpoint: Vec<f64> = current.iter().map(Interval::midpoint).collect();
-        let candidates = [
-            midpoint,
-            current.iter().map(Interval::lo).collect::<Vec<f64>>(),
-            current.iter().map(Interval::hi).collect::<Vec<f64>>(),
-        ];
-        let mut cex = None;
-        for point in candidates {
-            if guards.iter().all(|g| g.eval(&point) <= 0.0) {
-                let value = objective.eval(&point);
-                if value > bound {
-                    cex = Some(ProofOutcome::Counterexample { point, value });
-                    break;
-                }
-            }
-        }
-        if let Some(cex) = cex {
-            return cex;
-        }
-        let widest = current.iter().map(Interval::width).fold(0.0f64, f64::max);
-        if widest <= config.min_width {
-            undecided = true;
-            continue;
-        }
-        let split_dim = current
-            .iter()
-            .enumerate()
-            .max_by(|a, b| {
-                a.1.width()
-                    .partial_cmp(&b.1.width())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        let (left, right) = current[split_dim].bisect();
-        let mut left_box = current.clone();
-        left_box[split_dim] = left;
-        let mut right_box = current;
-        right_box[split_dim] = right;
-        stack.push(left_box);
-        stack.push(right_box);
-    }
-    if undecided {
-        ProofOutcome::Unknown {
-            boxes_examined,
-            worst_box: None,
-        }
-    } else {
-        ProofOutcome::Proved { boxes_examined }
     }
 }
 
@@ -303,138 +197,6 @@ fn induction_query(
     let next_value = barrier.substitute(&successor);
     let domain = env.safety().safe_box().to_intervals();
     (next_value, barrier, domain)
-}
-
-fn bench_branch_bound(
-    c: &mut Criterion,
-    name: &str,
-    gains: &[f64],
-    radii: &[f64],
-) -> (f64, f64, f64) {
-    let (next_value, barrier, domain) = induction_query(name, gains, radii);
-    let scalar_config = BranchBoundConfig {
-        max_boxes: 50_000,
-        lane_batched: false,
-        ..BranchBoundConfig::default()
-    };
-    let batched_config = BranchBoundConfig {
-        max_boxes: 50_000,
-        ..BranchBoundConfig::default()
-    };
-    // All paths must agree on the outcome before we time them; the scalar
-    // and batched modes must agree exactly.
-    let query = BoundQuery::new(&next_value, 0.0).with_guard(&barrier);
-    let scalar_outcome = prove_bound(&query, &domain, &scalar_config);
-    let batched_outcome = prove_bound(&query, &domain, &batched_config);
-    assert_eq!(
-        scalar_outcome, batched_outcome,
-        "scalar and lane-batched branch-and-bound disagree on {name}"
-    );
-    let reference_outcome =
-        reference_prove_bound(&next_value, 0.0, &[&barrier], &domain, &batched_config);
-    assert_eq!(
-        batched_outcome.is_proved(),
-        reference_outcome.is_proved(),
-        "compiled and reference branch-and-bound disagree on {name}"
-    );
-
-    let mut group = c.benchmark_group(format!("eval_kernels/branch_bound/{name}"));
-    group.sample_size(10);
-    group.bench_function("reference", |b| {
-        b.iter(|| reference_prove_bound(&next_value, 0.0, &[&barrier], &domain, &batched_config))
-    });
-    group.bench_function("compiled_scalar", |b| {
-        b.iter(|| prove_bound(&query, &domain, &scalar_config))
-    });
-    group.bench_function("compiled_batched", |b| {
-        b.iter(|| prove_bound(&query, &domain, &batched_config))
-    });
-    group.finish();
-
-    let reference = time_per_pass(3, || {
-        black_box(reference_prove_bound(
-            &next_value,
-            0.0,
-            &[&barrier],
-            &domain,
-            &batched_config,
-        ));
-    });
-    let scalar = time_per_pass(3, || {
-        black_box(prove_bound(&query, &domain, &scalar_config));
-    });
-    let batched = time_per_pass(3, || {
-        black_box(prove_bound(&query, &domain, &batched_config));
-    });
-    println!(
-        "  -> {name} branch-and-bound speedup: {:.2}x scalar-compiled, {:.2}x lane-batched",
-        reference / scalar,
-        reference / batched
-    );
-    (reference, scalar, batched)
-}
-
-/// A traversal-invariant deep *proof*: `p ≤ max + margin` for the dense
-/// degree-4 polynomial over `[-1, 1]⁴`, with the sound maximum computed
-/// first.  A proved query examines exactly the recursion tree regardless of
-/// frontier order (every box's fate depends only on the box), so — unlike
-/// the refutation-style induction rows above, where the wave order changes
-/// which counterexample surfaces first — this row isolates the evaluation
-/// kernels: reference vs scalar-compiled vs lane-batched over the *same*
-/// boxes.
-fn bench_dense_proof(c: &mut Criterion) -> (f64, f64, f64) {
-    let p = dense_poly();
-    let domain = vec![Interval::new(-1.0, 1.0); p.nvars()];
-    let negated = -&p;
-    let true_max = -vrl::solver::sound_minimum(&negated, &domain, 200_000);
-    let bound = true_max + 1e-3 * (1.0 + true_max.abs());
-    let query = BoundQuery::new(&p, bound);
-    let scalar_config = BranchBoundConfig {
-        lane_batched: false,
-        ..BranchBoundConfig::default()
-    };
-    let batched_config = BranchBoundConfig::default();
-    let scalar_outcome = prove_bound(&query, &domain, &scalar_config);
-    let batched_outcome = prove_bound(&query, &domain, &batched_config);
-    assert_eq!(scalar_outcome, batched_outcome);
-    assert!(scalar_outcome.is_proved(), "the bound must be provable");
-    let reference_outcome = reference_prove_bound(&p, bound, &[], &domain, &batched_config);
-    assert!(reference_outcome.is_proved());
-
-    let mut group = c.benchmark_group("eval_kernels/branch_bound/dense_proof");
-    group.sample_size(10);
-    group.bench_function("reference", |b| {
-        b.iter(|| reference_prove_bound(&p, bound, &[], &domain, &batched_config))
-    });
-    group.bench_function("compiled_scalar", |b| {
-        b.iter(|| prove_bound(&query, &domain, &scalar_config))
-    });
-    group.bench_function("compiled_batched", |b| {
-        b.iter(|| prove_bound(&query, &domain, &batched_config))
-    });
-    group.finish();
-
-    let reference = time_per_pass(5, || {
-        black_box(reference_prove_bound(
-            &p,
-            bound,
-            &[],
-            &domain,
-            &batched_config,
-        ));
-    });
-    let scalar = time_per_pass(5, || {
-        black_box(prove_bound(&query, &domain, &scalar_config));
-    });
-    let batched = time_per_pass(5, || {
-        black_box(prove_bound(&query, &domain, &batched_config));
-    });
-    println!(
-        "  -> dense-proof branch-and-bound speedup: {:.2}x scalar-compiled, {:.2}x lane-batched",
-        reference / scalar,
-        reference / batched
-    );
-    (reference, scalar, batched)
 }
 
 /// Cache behavior of a CEGIS-style re-proof loop: the same induction query
@@ -502,72 +264,75 @@ fn measure_serving_throughput() -> (f64, f64) {
     (scalar, batched)
 }
 
-fn write_results(
-    kernels: &KernelNumbers,
-    pendulum: (f64, f64, f64),
-    cartpole: (f64, f64, f64),
-    dense: (f64, f64, f64),
-    cache: (u64, u64, f64),
-    serving: (f64, f64),
-) {
+/// The machine a run was taken on: core count, the x86-64 SIMD features
+/// the CPU reports, and the build profile, as a JSON object.
+fn machine_stamp() -> String {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    #[cfg(target_arch = "x86_64")]
+    let features: Vec<&str> = [
+        ("sse2", is_x86_feature_detected!("sse2")),
+        ("avx", is_x86_feature_detected!("avx")),
+        ("avx2", is_x86_feature_detected!("avx2")),
+        ("fma", is_x86_feature_detected!("fma")),
+        ("avx512f", is_x86_feature_detected!("avx512f")),
+    ]
+    .into_iter()
+    .filter_map(|(name, present)| present.then_some(name))
+    .collect();
+    #[cfg(not(target_arch = "x86_64"))]
+    let features: Vec<&str> = Vec::new();
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    format!(
+        "{{\"cores\": {cores}, \"arch\": \"{}\", \"cpu_features\": \"{}\", \"profile\": \"{profile}\"}}",
+        std::env::consts::ARCH,
+        features.join(" "),
+    )
+}
+
+fn write_results(kernels: &KernelNumbers, cache: (u64, u64, f64), serving: (f64, f64)) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_eval.json");
-    let eval_section = |reference: f64, compiled: f64, batch: f64| {
-        format!(
-            "{{\n    \"reference_sec\": {:.6e},\n    \"compiled_sec\": {:.6e},\n    \"batch_sec\": {:.6e},\n    \"speedup_compiled\": {:.2},\n    \"speedup_batch\": {:.2},\n    \"batch_vs_scalar_compiled\": {:.2}\n  }}",
-            reference,
-            compiled,
-            batch,
-            reference / compiled,
-            reference / batch,
-            compiled / batch,
-        )
-    };
-    let bb_section = |(reference, scalar, batched): (f64, f64, f64)| {
-        format!(
-            "{{\n    \"reference_sec\": {:.6e},\n    \"scalar_sec\": {:.6e},\n    \"batched_sec\": {:.6e},\n    \"speedup_scalar\": {:.2},\n    \"speedup_batched\": {:.2},\n    \"batched_vs_scalar\": {:.2}\n  }}",
-            reference,
-            scalar,
-            batched,
-            reference / scalar,
-            reference / batched,
-            scalar / batched,
-        )
-    };
-    let description = "\"Compiled evaluation kernels: reference (sparse BTreeMap) vs compiled (flat SoA) vs lane-batched (8-wide SoA sweeps) paths. Point/interval rows are seconds per 4096 evaluations of a dense degree-4, 4-variable polynomial (70 terms); branch_bound pendulum/cartpole rows are seconds per CEGIS-style induction query (these refute, so reference-vs-wave deltas mix kernel speed with which counterexample the traversal surfaces first; scalar_sec pops the same 8-box waves through the scalar interval kernel, batched_sec through the lane-batched kernel — identical outcomes); branch_bound_dense_proof is a traversal-invariant deep proof (identical box tree in every arm), isolating the kernels; query_cache is a 50x re-proof loop of the pendulum induction query through the per-thread CompiledQueryCache; serving rows are single-worker decisions/sec on the pendulum deployment with a [240, 200] oracle — scalar loops per-state decide, batch is decide_batch through the lane-batched dynamics-step + oracle + certificate kernels (bit-identical decisions).\"".to_string();
+    let machine = machine_stamp();
+    let description = "\"Compiled evaluation kernels: reference (sparse BTreeMap) vs compiled (flat SoA) paths, plus the lane-batched (8-wide SoA sweeps) point kernel. Point/interval rows are seconds per 4096 evaluations of a dense degree-4, 4-variable polynomial (70 terms); interval evaluation has no batched kernel. query_cache is a 50x re-proof loop of the pendulum induction query through the per-thread CompiledQueryCache; serving rows are single-worker decisions/sec on the pendulum deployment with a [240, 200] oracle — scalar loops per-state decide, batch is decide_batch through the lane-batched dynamics-step + oracle + certificate kernels (bit-identical decisions). Every section this bench writes carries the machine it ran on.\"".to_string();
     vrl_bench::upsert_bench_sections(
         path,
         &[
             ("description", description),
             (
                 "point_eval",
-                eval_section(
+                format!(
+                    "{{\n    \"machine\": {machine},\n    \"reference_sec\": {:.6e},\n    \"compiled_sec\": {:.6e},\n    \"batch_sec\": {:.6e},\n    \"speedup_compiled\": {:.2},\n    \"speedup_batch\": {:.2},\n    \"batch_vs_scalar_compiled\": {:.2}\n  }}",
                     kernels.point_reference,
                     kernels.point_compiled,
                     kernels.point_batch,
+                    kernels.point_reference / kernels.point_compiled,
+                    kernels.point_reference / kernels.point_batch,
+                    kernels.point_compiled / kernels.point_batch,
                 ),
             ),
             (
                 "interval_eval",
-                eval_section(
+                format!(
+                    "{{\n    \"machine\": {machine},\n    \"reference_sec\": {:.6e},\n    \"compiled_sec\": {:.6e},\n    \"speedup_compiled\": {:.2}\n  }}",
                     kernels.interval_reference,
                     kernels.interval_compiled,
-                    kernels.interval_batch,
+                    kernels.interval_reference / kernels.interval_compiled,
                 ),
             ),
-            ("branch_bound_pendulum", bb_section(pendulum)),
-            ("branch_bound_cartpole", bb_section(cartpole)),
-            ("branch_bound_dense_proof", bb_section(dense)),
             (
                 "query_cache_reproof_loop",
                 format!(
-                    "{{\n    \"repeats\": 50,\n    \"hits\": {},\n    \"misses\": {},\n    \"hit_rate\": {:.3}\n  }}",
+                    "{{\n    \"machine\": {machine},\n    \"repeats\": 50,\n    \"hits\": {},\n    \"misses\": {},\n    \"hit_rate\": {:.3}\n  }}",
                     cache.0, cache.1, cache.2,
                 ),
             ),
             (
                 "serving_compiled_shield",
                 format!(
-                    "{{\n    \"scalar_decide_per_sec\": {:.0},\n    \"batch_decide_per_sec\": {:.0},\n    \"batch_speedup\": {:.2}\n  }}",
+                    "{{\n    \"machine\": {machine},\n    \"scalar_decide_per_sec\": {:.0},\n    \"batch_decide_per_sec\": {:.0},\n    \"batch_speedup\": {:.2}\n  }}",
                     serving.0,
                     serving.1,
                     serving.1 / serving.0,
@@ -581,19 +346,6 @@ fn write_results(
 
 fn bench_all(c: &mut Criterion) {
     let kernels = bench_eval_kernels(c);
-    let pendulum = bench_branch_bound(
-        c,
-        "pendulum",
-        &fixtures::PENDULUM_GAINS,
-        &fixtures::PENDULUM_RADII,
-    );
-    let cartpole = bench_branch_bound(
-        c,
-        "cartpole",
-        &fixtures::CARTPOLE_GAINS,
-        &fixtures::CARTPOLE_RADII,
-    );
-    let dense = bench_dense_proof(c);
     let cache = measure_query_cache(50);
     println!(
         "  -> query cache over a 50x re-proof loop: {} hits / {} misses ({:.1}% hit rate)",
@@ -608,7 +360,7 @@ fn bench_all(c: &mut Criterion) {
         serving.1,
         serving.1 / serving.0
     );
-    write_results(&kernels, pendulum, cartpole, dense, cache, serving);
+    write_results(&kernels, cache, serving);
 }
 
 criterion_group!(benches, bench_all);

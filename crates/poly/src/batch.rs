@@ -1,4 +1,4 @@
-//! Structure-of-arrays point and box batches for lane-parallel evaluation.
+//! Structure-of-arrays point batches for lane-parallel evaluation.
 //!
 //! The batched kernels in the `compiled` module sweep 4–8 states at a time
 //! through one shared power-table fill per variable.  They read coordinates
@@ -6,12 +6,7 @@
 //! the per-variable table fill is a unit-stride loop the compiler can
 //! vectorize.  [`BatchPoints`] is that layout — one column per variable —
 //! with a small builder API so serving paths can reuse the storage across
-//! batches.  [`BatchBoxes`] is the interval analogue — one lower-endpoint
-//! and one upper-endpoint column per variable — feeding the lane-batched
-//! interval kernels that branch-and-bound uses to expand its frontier
-//! several boxes per sweep.
-
-use crate::Interval;
+//! batches.
 
 /// A batch of evaluation points stored structure-of-arrays: one contiguous
 /// column of lane values per variable.
@@ -166,143 +161,6 @@ impl BatchPoints {
     }
 }
 
-/// A batch of axis-aligned boxes stored structure-of-arrays: one contiguous
-/// column of lane lower endpoints and one of lane upper endpoints per
-/// variable.
-///
-/// This is the interval analogue of [`BatchPoints`]: the lane-batched
-/// interval kernels read both endpoint columns of a variable as unit-stride
-/// slices, so one power-table fill per variable serves a whole
-/// [`crate::LANE_WIDTH`]-lane sweep of boxes.  Columns grow amortized like
-/// `Vec`; [`BatchBoxes::clear`] retains the capacity, so the
-/// branch-and-bound frontier loop that refills the same batch every sweep
-/// is allocation-free in steady state.
-///
-/// # Examples
-///
-/// ```
-/// use vrl_poly::{BatchBoxes, Interval};
-///
-/// let mut batch = BatchBoxes::new(2);
-/// batch.push(&[Interval::new(-1.0, 1.0), Interval::new(0.0, 2.0)]);
-/// batch.push(&[Interval::new(0.5, 0.75), Interval::new(-3.0, -2.0)]);
-/// assert_eq!(batch.len(), 2);
-/// assert_eq!(batch.lo_column(0), &[-1.0, 0.5]);
-/// assert_eq!(batch.hi_column(1), &[2.0, -2.0]);
-/// assert_eq!(batch.box_at(1)[1], Interval::new(-3.0, -2.0));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BatchBoxes {
-    nvars: usize,
-    len: usize,
-    lo_columns: Vec<Vec<f64>>,
-    hi_columns: Vec<Vec<f64>>,
-}
-
-impl BatchBoxes {
-    /// An empty batch of boxes over `nvars` variables.
-    pub fn new(nvars: usize) -> Self {
-        BatchBoxes {
-            nvars,
-            len: 0,
-            lo_columns: vec![Vec::new(); nvars],
-            hi_columns: vec![Vec::new(); nvars],
-        }
-    }
-
-    /// An empty batch with room for `capacity` boxes per column.
-    pub fn with_capacity(nvars: usize, capacity: usize) -> Self {
-        BatchBoxes {
-            nvars,
-            len: 0,
-            // Per-column `with_capacity` (cloning a Vec drops its capacity).
-            lo_columns: (0..nvars).map(|_| Vec::with_capacity(capacity)).collect(),
-            hi_columns: (0..nvars).map(|_| Vec::with_capacity(capacity)).collect(),
-        }
-    }
-
-    /// Builds a batch by transposing row-major boxes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any box's dimension differs from `nvars`.
-    pub fn from_boxes<B: AsRef<[Interval]>>(nvars: usize, boxes: &[B]) -> Self {
-        let mut batch = BatchBoxes::with_capacity(nvars, boxes.len());
-        for domain in boxes {
-            batch.push(domain.as_ref());
-        }
-        batch
-    }
-
-    /// Appends one box as the next lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `domain.len() != self.nvars()`.
-    pub fn push(&mut self, domain: &[Interval]) {
-        assert_eq!(domain.len(), self.nvars, "box has wrong dimension");
-        for (j, iv) in domain.iter().enumerate() {
-            self.lo_columns[j].push(iv.lo());
-            self.hi_columns[j].push(iv.hi());
-        }
-        self.len += 1;
-    }
-
-    /// Removes all boxes, keeping the column capacity.
-    pub fn clear(&mut self) {
-        for column in self.lo_columns.iter_mut().chain(self.hi_columns.iter_mut()) {
-            column.clear();
-        }
-        self.len = 0;
-    }
-
-    /// Number of variables per box.
-    pub fn nvars(&self) -> usize {
-        self.nvars
-    }
-
-    /// Number of boxes (lanes) in the batch.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns true when the batch holds no boxes.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The contiguous lane lower endpoints of variable `var`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var >= self.nvars()`.
-    pub fn lo_column(&self, var: usize) -> &[f64] {
-        &self.lo_columns[var]
-    }
-
-    /// The contiguous lane upper endpoints of variable `var`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var >= self.nvars()`.
-    pub fn hi_column(&self, var: usize) -> &[f64] {
-        &self.hi_columns[var]
-    }
-
-    /// Reassembles lane `i` as a row-major box (test/debug convenience; the
-    /// hot paths read columns).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    pub fn box_at(&self, i: usize) -> Vec<Interval> {
-        assert!(i < self.len, "lane index out of range");
-        (0..self.nvars)
-            .map(|j| Interval::new(self.lo_columns[j][i], self.hi_columns[j][i]))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,48 +215,5 @@ mod tests {
         assert_eq!(batch.state(1), vec![2.0, 5.0]);
         batch.resize_lanes(1, 0.0);
         assert_eq!(batch.state(0), vec![1.0, 4.0]);
-    }
-
-    #[test]
-    fn boxes_push_clear_and_reuse() {
-        let mut batch = BatchBoxes::with_capacity(2, 4);
-        assert!(batch.is_empty());
-        assert_eq!(batch.nvars(), 2);
-        batch.push(&[Interval::new(-1.0, 1.0), Interval::new(0.0, 2.0)]);
-        batch.push(&[Interval::new(0.5, 0.75), Interval::new(-3.0, -2.0)]);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch.lo_column(0), &[-1.0, 0.5]);
-        assert_eq!(batch.hi_column(0), &[1.0, 0.75]);
-        assert_eq!(
-            batch.box_at(0),
-            vec![Interval::new(-1.0, 1.0), Interval::new(0.0, 2.0)]
-        );
-        batch.clear();
-        assert!(batch.is_empty());
-        batch.push(&[Interval::point(0.0), Interval::point(1.0)]);
-        assert_eq!(
-            batch.box_at(0),
-            vec![Interval::point(0.0), Interval::point(1.0)]
-        );
-    }
-
-    #[test]
-    fn boxes_from_boxes_transposes() {
-        let boxes = vec![
-            vec![Interval::new(0.0, 1.0)],
-            vec![Interval::new(2.0, 3.0)],
-            vec![Interval::new(-1.0, -0.5)],
-        ];
-        let batch = BatchBoxes::from_boxes(1, &boxes);
-        assert_eq!(batch.len(), 3);
-        assert_eq!(batch.lo_column(0), &[0.0, 2.0, -1.0]);
-        assert_eq!(batch.hi_column(0), &[1.0, 3.0, -0.5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong dimension")]
-    fn mismatched_box_push_rejected() {
-        let mut batch = BatchBoxes::new(2);
-        batch.push(&[Interval::zero()]);
     }
 }

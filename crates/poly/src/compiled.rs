@@ -48,7 +48,7 @@
 //! convenience methods — what the serving path does, one scratch per worker
 //! thread).
 
-use crate::{BatchBoxes, BatchPoints, Interval, Polynomial};
+use crate::{BatchPoints, Interval, Polynomial};
 use std::cell::RefCell;
 
 /// Number of lanes a batched evaluation sweep processes at once.
@@ -60,19 +60,8 @@ use std::cell::RefCell;
 /// table with `1.0` and only the live lanes are written back.
 pub const LANE_WIDTH: usize = 8;
 
-/// Number of lanes a batched *interval* sweep processes at once.
-///
-/// Interval lanes carry two accumulator arrays (lower and upper endpoints)
-/// plus product temporaries through the term loop — heavier register
-/// pressure than the point kernel's single accumulator — so the width is
-/// tuned separately.  Eight lanes measured fastest on the x86-64 SSE2
-/// baseline (narrower sweeps trade spills for worse fill amortization).
-/// This is purely a sweep-granularity choice — batch sizes are unrestricted
-/// and per-lane results are bit-identical at any width.
-pub(crate) const ILANE_WIDTH: usize = 8;
-
 /// Reusable evaluation scratch: per-variable power tables for point,
-/// interval, and lane-batched evaluation.
+/// interval, and lane-batched point evaluation.
 ///
 /// A scratch grows to the largest polynomial it has served and is then
 /// allocation-free.  One scratch may be shared across any number of
@@ -88,14 +77,6 @@ pub struct PolyScratch {
     /// `bpowers[(offset(j) + k) * LANE_WIDTH + lane] = point_lane[j].powi(k)`;
     /// pad lanes past the live count hold `1.0`.
     bpowers: Vec<f64>,
-    /// Batched interval power tables, split into endpoint planes so the lane
-    /// loops read unit-stride `f64` rows:
-    /// `(bip_lo, bip_hi)[(offset(j) + k) * ILANE_WIDTH + lane]` hold the
-    /// `(lo, hi)` endpoints of `box_lane[j].powi(k)`; pad lanes hold `1.0`.
-    /// Interval sweeps are `ILANE_WIDTH` (not [`LANE_WIDTH`]) lanes wide —
-    /// see the constant's documentation.
-    bip_lo: Vec<f64>,
-    bip_hi: Vec<f64>,
 }
 
 impl PolyScratch {
@@ -135,9 +116,7 @@ fn powi_exact(x: f64, n: u32) -> f64 {
 }
 
 /// Branch-free minimum selection: lowers to `minsd`-style instructions
-/// instead of the NaN-propagating `f64::min` intrinsic.  Shared by the
-/// scalar and lane-batched interval kernels so both pick bounds through the
-/// exact same comparisons.
+/// instead of the NaN-propagating `f64::min` intrinsic.
 #[inline(always)]
 fn sel_min(a: f64, b: f64) -> f64 {
     if a < b {
@@ -394,169 +373,6 @@ impl Kernel {
         }
     }
 
-    /// Fills the batched interval power table for lanes
-    /// `base..base + lanes` of `boxes`:
-    /// `(bip_lo, bip_hi)[(off(j) + k) * ILANE_WIDTH + lane]` are the
-    /// endpoints of `boxes[base + lane][j].powi(k)`.
-    ///
-    /// Each live lane's entries are computed by exactly the rules of
-    /// [`Kernel::fill_ipowers`] (endpoint `powi_exact` plus the even/odd
-    /// sign classification, hoisted per lane per variable), so every live
-    /// lane's table is bit-identical to what the scalar fill would produce
-    /// for that box.  Pad lanes (`lanes..ILANE_WIDTH`) hold the point
-    /// interval `[1, 1]` so the fixed-width term loops stay in
-    /// normal-number arithmetic; their results are never read.
-    fn fill_ipowers_batch(
-        &self,
-        boxes: &BatchBoxes,
-        base: usize,
-        lanes: usize,
-        scratch: &mut PolyScratch,
-    ) {
-        debug_assert!(0 < lanes && lanes <= ILANE_WIDTH);
-        assert_eq!(boxes.nvars(), self.nvars, "box batch has wrong dimension");
-        let table = self.table_len.max(1) * ILANE_WIDTH;
-        scratch.bip_lo.resize(table, 0.0);
-        scratch.bip_hi.resize(table, 0.0);
-        for j in 0..self.nvars {
-            let lo_col = &boxes.lo_column(j)[base..base + lanes];
-            let hi_col = &boxes.hi_column(j)[base..base + lanes];
-            let off = self.pow_offsets[j] as usize;
-            let end = self
-                .pow_offsets
-                .get(j + 1)
-                .map_or(self.table_len, |&o| o as usize);
-            for k in 0..(end - off) {
-                let row = (off + k) * ILANE_WIDTH;
-                let row_lo = &mut scratch.bip_lo[row..row + ILANE_WIDTH];
-                let row_hi = &mut scratch.bip_hi[row..row + ILANE_WIDTH];
-                for (lane, (&lo, &hi)) in lo_col.iter().zip(hi_col.iter()).enumerate() {
-                    let (slot_lo, slot_hi) = match k {
-                        0 => (1.0, 1.0),
-                        1 => (lo, hi),
-                        _ => {
-                            let a = powi_exact(lo, k as u32);
-                            let b = powi_exact(hi, k as u32);
-                            if k % 2 == 0 {
-                                if lo >= 0.0 {
-                                    (a, b)
-                                } else if hi <= 0.0 {
-                                    (b, a)
-                                } else {
-                                    (0.0, if a > b { a } else { b })
-                                }
-                            } else {
-                                (a, b)
-                            }
-                        }
-                    };
-                    row_lo[lane] = slot_lo;
-                    row_hi[lane] = slot_hi;
-                }
-                row_lo[lanes..].fill(1.0);
-                row_hi[lanes..].fill(1.0);
-            }
-        }
-    }
-
-    /// Sums terms `range` against a filled batched interval power table,
-    /// writing one enclosure per live lane into `out` (`out.len() == lanes`).
-    ///
-    /// Per lane this performs exactly the operations of
-    /// [`Kernel::sum_terms_interval`] in exactly the same order — the same
-    /// first-factor point-interval scale, the same four raw-endpoint
-    /// products per remaining factor, the same [`sel_min`]/[`sel_max`]
-    /// bound selection — so each lane's enclosure is bit-identical to the
-    /// scalar interval kernel's.  The inner loops run over fixed-width
-    /// `[f64; ILANE_WIDTH]` blocks with constant trip counts so the compiler
-    /// can lower them to SIMD.
-    ///
-    /// # Table-access safety
-    ///
-    /// Same structural invariant as [`Kernel::sum_terms`]: every factor
-    /// slot is `< table_len`, and [`Kernel::fill_ipowers_batch`] (the only
-    /// caller's preceding step) resizes both endpoint planes to
-    /// `table_len * ILANE_WIDTH`.
-    fn sum_terms_interval_batch(
-        &self,
-        range: std::ops::Range<usize>,
-        lanes: usize,
-        scratch: &PolyScratch,
-        out: &mut [Interval],
-    ) {
-        let bip_lo = scratch.bip_lo.as_slice();
-        let bip_hi = scratch.bip_hi.as_slice();
-        debug_assert!(bip_lo.len() >= self.table_len * ILANE_WIDTH);
-        debug_assert!(bip_hi.len() >= self.table_len * ILANE_WIDTH);
-        debug_assert!(self
-            .factors
-            .iter()
-            .all(|&s| (s as usize) < self.table_len.max(1)));
-        debug_assert_eq!(out.len(), lanes);
-        let coeffs = &self.coeffs[range.clone()];
-        let starts = &self.term_starts[range.start..range.end + 1];
-        let mut total_lo = [0.0f64; ILANE_WIDTH];
-        let mut total_hi = [0.0f64; ILANE_WIDTH];
-        for (window, &coeff) in starts.windows(2).zip(coeffs.iter()) {
-            let factors = &self.factors[window[0] as usize..window[1] as usize];
-            let (first, rest) = match factors.split_first() {
-                None => {
-                    for (lo, hi) in total_lo.iter_mut().zip(total_hi.iter_mut()) {
-                        *lo += coeff;
-                        *hi += coeff;
-                    }
-                    continue;
-                }
-                Some((&first, rest)) => (first, rest),
-            };
-            // First factor: point-interval scale by the coefficient, exactly
-            // as the scalar kernel's first-factor specialization.
-            // SAFETY: slot < table_len and the caller just resized both
-            // endpoint planes to at least `table_len * ILANE_WIDTH`.
-            let row = first as usize * ILANE_WIDTH;
-            let (row_lo, row_hi) = unsafe {
-                (
-                    bip_lo.get_unchecked(row..row + ILANE_WIDTH),
-                    bip_hi.get_unchecked(row..row + ILANE_WIDTH),
-                )
-            };
-            let mut term_lo = [0.0f64; ILANE_WIDTH];
-            let mut term_hi = [0.0f64; ILANE_WIDTH];
-            for lane in 0..ILANE_WIDTH {
-                let a0 = coeff * row_lo[lane];
-                let b0 = coeff * row_hi[lane];
-                term_lo[lane] = sel_min(a0, b0);
-                term_hi[lane] = sel_max(a0, b0);
-            }
-            for &slot in rest {
-                // SAFETY: as above.
-                let row = slot as usize * ILANE_WIDTH;
-                let (row_lo, row_hi) = unsafe {
-                    (
-                        bip_lo.get_unchecked(row..row + ILANE_WIDTH),
-                        bip_hi.get_unchecked(row..row + ILANE_WIDTH),
-                    )
-                };
-                for lane in 0..ILANE_WIDTH {
-                    // [term] * [p], products in the reference operand order.
-                    let a = term_lo[lane] * row_lo[lane];
-                    let b = term_lo[lane] * row_hi[lane];
-                    let c = term_hi[lane] * row_lo[lane];
-                    let d = term_hi[lane] * row_hi[lane];
-                    term_lo[lane] = sel_min(sel_min(a, b), sel_min(c, d));
-                    term_hi[lane] = sel_max(sel_max(a, b), sel_max(c, d));
-                }
-            }
-            for lane in 0..ILANE_WIDTH {
-                total_lo[lane] += term_lo[lane];
-                total_hi[lane] += term_hi[lane];
-            }
-        }
-        for (lane, slot) in out.iter_mut().enumerate() {
-            *slot = Interval::new(total_lo[lane], total_hi[lane]);
-        }
-    }
-
     /// Sums terms `range` against a filled point power table.
     ///
     /// # Table-access safety
@@ -778,6 +594,19 @@ impl CompiledPolynomial {
     /// Conservative interval enclosure over a box, using the thread-local
     /// scratch.
     ///
+    /// # Examples
+    ///
+    /// ```
+    /// use vrl_poly::{Interval, Polynomial};
+    ///
+    /// let x = Polynomial::variable(0, 1);
+    /// let p = &(&x * &x) - &x; // x² − x
+    /// let domain = [Interval::new(-1.0, 2.0)];
+    /// let enclosure = p.compile().eval_interval(&domain);
+    /// assert_eq!(enclosure, p.eval_interval(&domain)); // bit-exact
+    /// assert_eq!(enclosure, Interval::new(-2.0, 5.0)); // [0, 4] − [−1, 2]
+    /// ```
+    ///
     /// # Panics
     ///
     /// Panics if `domain.len() != self.nvars()`.
@@ -795,81 +624,6 @@ impl CompiledPolynomial {
         self.kernel.fill_ipowers(domain, scratch);
         self.kernel
             .sum_terms_interval(0..self.kernel.coeffs.len(), scratch)
-    }
-
-    /// Conservative interval enclosures over every box of a [`BatchBoxes`]
-    /// batch, written into `out` (resized to `boxes.len()`), using the
-    /// thread-local scratch.
-    ///
-    /// Boxes are swept `ILANE_WIDTH` lanes at a time (the interval sweep
-    /// width; see that constant's documentation) with one shared
-    /// interval power-table fill per variable per sweep; each lane's
-    /// enclosure is **bit-for-bit** the bound
-    /// [`CompiledPolynomial::eval_interval`] returns for that box (debug
-    /// builds assert this per lane), so branch-and-bound certifies, prunes,
-    /// and splits exactly as the scalar path does.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use vrl_poly::{BatchBoxes, Interval, Polynomial};
-    ///
-    /// let p = Polynomial::from_terms(2, vec![(vec![2, 1], 3.0), (vec![0, 0], -1.0)]);
-    /// let compiled = p.compile();
-    /// let boxes = BatchBoxes::from_boxes(2, &[
-    ///     vec![Interval::new(-1.0, 2.0), Interval::new(0.5, 0.75)],
-    ///     vec![Interval::new(0.0, 1.0), Interval::new(-1.0, 1.0)],
-    /// ]);
-    /// let mut out = Vec::new();
-    /// compiled.evaluate_interval_batch(&boxes, &mut out);
-    /// assert_eq!(out[0], p.eval_interval(&boxes.box_at(0)));
-    /// assert_eq!(out[1], p.eval_interval(&boxes.box_at(1)));
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `boxes.nvars() != self.nvars()`.
-    pub fn evaluate_interval_batch(&self, boxes: &BatchBoxes, out: &mut Vec<Interval>) {
-        TLS_SCRATCH.with(|s| self.evaluate_interval_batch_with(boxes, out, &mut s.borrow_mut()))
-    }
-
-    /// Batched interval evaluation with a caller-managed scratch
-    /// (allocation-free once the scratch and `out` have grown).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `boxes.nvars() != self.nvars()`.
-    pub fn evaluate_interval_batch_with(
-        &self,
-        boxes: &BatchBoxes,
-        out: &mut Vec<Interval>,
-        scratch: &mut PolyScratch,
-    ) {
-        assert_eq!(boxes.nvars(), self.nvars(), "box batch has wrong dimension");
-        let n = boxes.len();
-        out.clear();
-        out.resize(n, Interval::zero());
-        let mut base = 0;
-        while base < n {
-            let lanes = (n - base).min(ILANE_WIDTH);
-            self.kernel.fill_ipowers_batch(boxes, base, lanes, scratch);
-            self.kernel.sum_terms_interval_batch(
-                0..self.kernel.coeffs.len(),
-                lanes,
-                scratch,
-                &mut out[base..base + lanes],
-            );
-            base += lanes;
-        }
-        #[cfg(debug_assertions)]
-        for (i, enclosure) in out.iter().enumerate() {
-            let reference = self.eval_interval_with(&boxes.box_at(i), scratch);
-            debug_assert!(
-                enclosure.lo().to_bits() == reference.lo().to_bits()
-                    && enclosure.hi().to_bits() == reference.hi().to_bits(),
-                "interval batch lane {i} diverged from the scalar kernel"
-            );
-        }
     }
 }
 
@@ -1076,6 +830,18 @@ impl CompiledPolySet {
     /// Interval enclosures of every polynomial over `domain` into `out`,
     /// using the thread-local scratch.
     ///
+    /// # Examples
+    ///
+    /// ```
+    /// use vrl_poly::{CompiledPolySet, Interval, Polynomial};
+    ///
+    /// let x = Polynomial::variable(0, 1);
+    /// let set = CompiledPolySet::compile(&[&x * &x, -&x]);
+    /// let mut out = [Interval::zero(); 2];
+    /// set.eval_interval_into(&[Interval::new(-1.0, 2.0)], &mut out);
+    /// assert_eq!(out, [Interval::new(0.0, 4.0), Interval::new(-2.0, 1.0)]);
+    /// ```
+    ///
     /// # Panics
     ///
     /// Panics if `domain.len() != self.nvars()` or `out.len() != self.len()`.
@@ -1099,88 +865,6 @@ impl CompiledPolySet {
         self.kernel.fill_ipowers(domain, scratch);
         for (i, slot) in out.iter_mut().enumerate() {
             *slot = self.kernel.sum_terms_interval(self.range(i), scratch);
-        }
-    }
-
-    /// Interval enclosures of every polynomial of the set over every box of
-    /// a [`BatchBoxes`] batch, using the thread-local scratch.
-    ///
-    /// `out` is resized to `self.len() * boxes.len()` and laid out
-    /// polynomial-major: `out[i * boxes.len() + lane]` is polynomial `i`
-    /// over box `lane`, so each polynomial's lane enclosures are contiguous
-    /// (what the branch-and-bound guard checks consume).  Each sweep fills
-    /// the per-variable interval power tables **once** for the whole family
-    /// across each `ILANE_WIDTH`-lane interval sweep, and every entry is
-    /// bit-for-bit the scalar [`CompiledPolySet::eval_interval_into`] bound
-    /// (debug builds assert this).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use vrl_poly::{BatchBoxes, CompiledPolySet, Interval, Polynomial};
-    ///
-    /// let x = Polynomial::variable(0, 1);
-    /// let set = CompiledPolySet::compile(&[&x * &x, -&x]);
-    /// let boxes = BatchBoxes::from_boxes(1, &[
-    ///     vec![Interval::new(-1.0, 2.0)],
-    ///     vec![Interval::new(0.5, 1.0)],
-    /// ]);
-    /// let mut out = Vec::new();
-    /// set.evaluate_interval_batch(&boxes, &mut out);
-    /// assert_eq!(out[0], Interval::new(0.0, 4.0));  // x² over lane 0
-    /// assert_eq!(out[3], Interval::new(-1.0, -0.5)); // −x over lane 1
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `boxes.nvars() != self.nvars()`.
-    pub fn evaluate_interval_batch(&self, boxes: &BatchBoxes, out: &mut Vec<Interval>) {
-        TLS_SCRATCH.with(|s| self.evaluate_interval_batch_with(boxes, out, &mut s.borrow_mut()))
-    }
-
-    /// Batched family interval evaluation with a caller-managed scratch
-    /// (see [`CompiledPolySet::evaluate_interval_batch`] for the layout).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `boxes.nvars() != self.nvars()`.
-    pub fn evaluate_interval_batch_with(
-        &self,
-        boxes: &BatchBoxes,
-        out: &mut Vec<Interval>,
-        scratch: &mut PolyScratch,
-    ) {
-        assert_eq!(boxes.nvars(), self.nvars(), "box batch has wrong dimension");
-        let n = boxes.len();
-        out.clear();
-        out.resize(self.len() * n, Interval::zero());
-        let mut base = 0;
-        while base < n {
-            let lanes = (n - base).min(ILANE_WIDTH);
-            self.kernel.fill_ipowers_batch(boxes, base, lanes, scratch);
-            for i in 0..self.len() {
-                self.kernel.sum_terms_interval_batch(
-                    self.range(i),
-                    lanes,
-                    scratch,
-                    &mut out[i * n + base..i * n + base + lanes],
-                );
-            }
-            base += lanes;
-        }
-        #[cfg(debug_assertions)]
-        {
-            let mut reference = vec![Interval::zero(); self.len()];
-            for lane in 0..n {
-                self.eval_interval_into_with(&boxes.box_at(lane), &mut reference, scratch);
-                for (i, r) in reference.iter().enumerate() {
-                    debug_assert!(
-                        out[i * n + lane].lo().to_bits() == r.lo().to_bits()
-                            && out[i * n + lane].hi().to_bits() == r.hi().to_bits(),
-                        "interval batch lane {lane} of polynomial {i} diverged from the scalar kernel"
-                    );
-                }
-            }
         }
     }
 }
@@ -1336,6 +1020,51 @@ mod tests {
     }
 
     #[test]
+    fn interval_scratch_reuse_across_shapes() {
+        // One scratch serving sets of different sizes and variable counts in
+        // turn, as the branch-and-bound guard and objective families and the
+        // decision-table build share theirs: every enclosure stays
+        // bit-identical to the reference.
+        let mut scratch = PolyScratch::new();
+        let x = Polynomial::variable(0, 1);
+        let small = CompiledPolySet::compile(&[&x * &x, -&x]);
+        let big_polys: Vec<Polynomial> = (0..3)
+            .map(|k| {
+                Polynomial::from_basis(
+                    3,
+                    &monomial_basis(3, 4),
+                    &(0..crate::basis_size(3, 4))
+                        .map(|i| (i + k) as f64 * 0.1 - 1.0)
+                        .collect::<Vec<_>>(),
+                )
+            })
+            .collect();
+        let big = CompiledPolySet::compile(&big_polys);
+        let small_dom = [Interval::new(-1.0, 2.0)];
+        let big_dom = [
+            Interval::new(-0.5, 0.25),
+            Interval::new(0.1, 0.9),
+            Interval::new(-2.0, -1.0),
+        ];
+        let check = |polys: &[Polynomial], dom: &[Interval], out: &[Interval]| {
+            for (poly, enclosure) in polys.iter().zip(out.iter()) {
+                let reference = poly.eval_interval(dom);
+                assert_eq!(enclosure.lo().to_bits(), reference.lo().to_bits());
+                assert_eq!(enclosure.hi().to_bits(), reference.hi().to_bits());
+            }
+        };
+        let small_polys = [&x * &x, -&x];
+        let mut small_out = [Interval::zero(); 2];
+        let mut big_out = [Interval::zero(); 3];
+        for _ in 0..2 {
+            small.eval_interval_into_with(&small_dom, &mut small_out, &mut scratch);
+            check(&small_polys, &small_dom, &small_out);
+            big.eval_interval_into_with(&big_dom, &mut big_out, &mut scratch);
+            check(&big_polys, &big_dom, &big_out);
+        }
+    }
+
+    #[test]
     fn batch_matches_scalar_on_fixed_cases() {
         let p = Polynomial::from_terms(
             2,
@@ -1414,81 +1143,6 @@ mod tests {
         // Shrinking back to the small polynomial still works.
         small.evaluate_batch_with(&small_batch, &mut out, &mut scratch);
         assert_eq!(out, vec![2.0, -1.0]);
-    }
-
-    #[test]
-    fn interval_batch_matches_scalar_on_fixed_cases() {
-        let p = Polynomial::from_terms(
-            2,
-            vec![
-                (vec![2, 1], 3.0),
-                (vec![0, 3], -1.0),
-                (vec![1, 0], 0.5),
-                (vec![0, 0], -2.0),
-            ],
-        );
-        let c = p.compile();
-        // 19 boxes: two full 8-lane sweeps plus a ragged 3-lane tail, with
-        // sign-straddling, all-negative, and all-positive lanes mixed.
-        let boxes: Vec<Vec<Interval>> = (0..19)
-            .map(|i| {
-                let lo = (i as f64) * 0.3 - 3.0;
-                vec![
-                    Interval::new(lo, lo + 0.7),
-                    Interval::new(-lo - 1.0, -lo + 0.4),
-                ]
-            })
-            .collect();
-        let batch = BatchBoxes::from_boxes(2, &boxes);
-        let mut out = Vec::new();
-        c.evaluate_interval_batch(&batch, &mut out);
-        assert_eq!(out.len(), boxes.len());
-        for (domain, enclosure) in boxes.iter().zip(out.iter()) {
-            let reference = p.eval_interval(domain);
-            assert_eq!(enclosure.lo().to_bits(), reference.lo().to_bits());
-            assert_eq!(enclosure.hi().to_bits(), reference.hi().to_bits());
-        }
-        // An empty batch produces an empty output.
-        c.evaluate_interval_batch(&BatchBoxes::new(2), &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn interval_batch_set_layout_is_polynomial_major() {
-        let x = Polynomial::variable(0, 2);
-        let y = Polynomial::variable(1, 2);
-        let polys = vec![&x * &x, &x + &y, Polynomial::constant(7.0, 2)];
-        let set = CompiledPolySet::compile(&polys);
-        let boxes: Vec<Vec<Interval>> = (0..11)
-            .map(|i| {
-                let t = i as f64 * 0.4 - 2.0;
-                vec![Interval::new(t, t + 1.0), Interval::new(-1.0 - t, 1.5 - t)]
-            })
-            .collect();
-        let batch = BatchBoxes::from_boxes(2, &boxes);
-        let mut out = Vec::new();
-        set.evaluate_interval_batch(&batch, &mut out);
-        assert_eq!(out.len(), polys.len() * boxes.len());
-        for (i, poly) in polys.iter().enumerate() {
-            for (lane, domain) in boxes.iter().enumerate() {
-                let reference = poly.eval_interval(domain);
-                let batched = out[i * boxes.len() + lane];
-                assert_eq!(
-                    (batched.lo().to_bits(), batched.hi().to_bits()),
-                    (reference.lo().to_bits(), reference.hi().to_bits()),
-                    "polynomial {i}, lane {lane}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong dimension")]
-    fn interval_batch_rejects_wrong_dimension() {
-        let batch = BatchBoxes::from_boxes(1, &[vec![Interval::zero()]]);
-        Polynomial::variable(0, 2)
-            .compile()
-            .evaluate_interval_batch(&batch, &mut Vec::new());
     }
 
     #[test]
@@ -1601,120 +1255,30 @@ mod tests {
             }
         }
 
-        /// Batched interval evaluation is bit-for-bit the scalar compiled
-        /// (and therefore reference) enclosure for every lane count 1–9 —
-        /// covering sub-lane batches, one exactly full sweep, and a ragged
-        /// tail — on random polynomials up to degree 6 in up to 6 variables
-        /// over random boxes (mirroring the `batch_conformance` sweep).
+        /// The compiled interval power table's even-power sign-split rule
+        /// matches [`Interval::powi`] exactly and remains a conservative
+        /// enclosure: evaluating the monomial `xᵏ` through the compiled
+        /// kernel must reproduce the endpoint fast path bit-for-bit (in
+        /// particular `lo == 0` for even `k` on sign-straddling boxes) and
+        /// contain every sampled `xᵏ`.
         #[test]
-        fn prop_interval_batch_bit_for_bit(
-            nvars in 1usize..7,
-            lanes in 1usize..10,
-            raw_exps in proptest::collection::vec(0u32..7, 72),
-            coeffs in proptest::collection::vec(-5.0..5.0f64, 12),
-            lows in proptest::collection::vec(-2.0..1.0f64, 54),
-            widths in proptest::collection::vec(0.0..2.0f64, 54),
-        ) {
-            let p = poly_from_raw(nvars, &raw_exps, &coeffs);
-            let c = p.compile();
-            let boxes: Vec<Vec<Interval>> = (0..lanes)
-                .map(|i| {
-                    (0..nvars)
-                        .map(|j| {
-                            let lo = lows[i * nvars + j];
-                            Interval::new(lo, lo + widths[i * nvars + j])
-                        })
-                        .collect()
-                })
-                .collect();
-            let batch = BatchBoxes::from_boxes(nvars, &boxes);
-            let mut out = Vec::new();
-            c.evaluate_interval_batch(&batch, &mut out);
-            prop_assert_eq!(out.len(), lanes);
-            for (domain, enclosure) in boxes.iter().zip(out.iter()) {
-                let reference = p.eval_interval(domain);
-                let scalar = c.eval_interval(domain);
-                prop_assert_eq!(enclosure.lo().to_bits(), reference.lo().to_bits());
-                prop_assert_eq!(enclosure.hi().to_bits(), reference.hi().to_bits());
-                prop_assert_eq!(enclosure.lo().to_bits(), scalar.lo().to_bits());
-                prop_assert_eq!(enclosure.hi().to_bits(), scalar.hi().to_bits());
-            }
-        }
-
-        /// Batched set interval evaluation is bit-for-bit the scalar result
-        /// for every member and lane, across ragged lane counts.
-        #[test]
-        fn prop_interval_batch_set_bit_for_bit(
-            lanes in 1usize..10,
-            raw_exps in proptest::collection::vec(0u32..5, 24),
-            c1 in proptest::collection::vec(-3.0..3.0f64, 4),
-            c2 in proptest::collection::vec(-3.0..3.0f64, 4),
-            lows in proptest::collection::vec(-2.0..1.0f64, 27),
-            widths in proptest::collection::vec(0.0..2.0f64, 27),
-        ) {
-            let p1 = poly_from_raw(3, &raw_exps[..12], &c1);
-            let p2 = poly_from_raw(3, &raw_exps[12..], &c2);
-            let set = CompiledPolySet::compile(&[p1.clone(), p2.clone()]);
-            let boxes: Vec<Vec<Interval>> = (0..lanes)
-                .map(|i| {
-                    (0..3)
-                        .map(|j| {
-                            let lo = lows[i * 3 + j];
-                            Interval::new(lo, lo + widths[i * 3 + j])
-                        })
-                        .collect()
-                })
-                .collect();
-            let batch = BatchBoxes::from_boxes(3, &boxes);
-            let mut out = Vec::new();
-            set.evaluate_interval_batch(&batch, &mut out);
-            for (lane, domain) in boxes.iter().enumerate() {
-                for (i, poly) in [&p1, &p2].iter().enumerate() {
-                    let reference = poly.eval_interval(domain);
-                    let batched = out[i * lanes + lane];
-                    prop_assert_eq!(batched.lo().to_bits(), reference.lo().to_bits());
-                    prop_assert_eq!(batched.hi().to_bits(), reference.hi().to_bits());
-                }
-            }
-        }
-
-        /// The lane kernel's even-power sign-split rule matches
-        /// [`Interval::powi`] exactly and remains a conservative enclosure,
-        /// for every lane of a ragged batch: evaluating the monomial `xᵏ`
-        /// through `evaluate_interval_batch` must reproduce the endpoint
-        /// fast path bit-for-bit (in particular `lo == 0` for even `k` on
-        /// sign-straddling lanes) and contain every sampled `xᵏ`.  Extends
-        /// the scalar `powi` containment proptests to batch endpoints, so a
-        /// sign-split regression in the lane kernel cannot hide behind the
-        /// scalar path.
-        #[test]
-        fn prop_interval_batch_even_power_containment(
-            lanes in 1usize..10,
+        fn prop_interval_even_power_containment(
             n in 0u32..7,
-            lows in proptest::collection::vec(-3.0..3.0f64, 9),
-            widths in proptest::collection::vec(0.0..4.0f64, 9),
+            lo in -3.0..3.0f64,
+            width in 0.0..4.0f64,
             t in 0.0..1.0f64,
         ) {
-            let p = Polynomial::from_terms(1, vec![(vec![n], 1.0)]);
-            let c = p.compile();
-            let boxes: Vec<Vec<Interval>> = (0..lanes)
-                .map(|i| vec![Interval::new(lows[i], lows[i] + widths[i])])
-                .collect();
-            let batch = BatchBoxes::from_boxes(1, &boxes);
-            let mut out = Vec::new();
-            c.evaluate_interval_batch(&batch, &mut out);
-            for (domain, enclosure) in boxes.iter().zip(out.iter()) {
-                let exact = domain[0].powi(n);
-                prop_assert_eq!(enclosure.lo().to_bits(), exact.lo().to_bits());
-                prop_assert_eq!(enclosure.hi().to_bits(), exact.hi().to_bits());
-                if n > 0 && n % 2 == 0 && domain[0].lo() < 0.0 && domain[0].hi() > 0.0 {
-                    // The sign-split rule: even powers of straddling lanes
-                    // bottom out at exactly zero.
-                    prop_assert_eq!(enclosure.lo(), 0.0);
-                }
-                let x = domain[0].lo() + t * domain[0].width();
-                prop_assert!(enclosure.contains(x.powi(n as i32)));
+            let c = Polynomial::from_terms(1, vec![(vec![n], 1.0)]).compile();
+            let domain = Interval::new(lo, lo + width);
+            let enclosure = c.eval_interval(&[domain]);
+            let exact = domain.powi(n);
+            prop_assert_eq!(enclosure.lo().to_bits(), exact.lo().to_bits());
+            prop_assert_eq!(enclosure.hi().to_bits(), exact.hi().to_bits());
+            if n > 0 && n % 2 == 0 && domain.lo() < 0.0 && domain.hi() > 0.0 {
+                prop_assert_eq!(enclosure.lo(), 0.0);
             }
+            let x = domain.lo() + t * domain.width();
+            prop_assert!(enclosure.contains(x.powi(n as i32)));
         }
 
         /// A compiled set agrees with compiling each member separately.

@@ -145,10 +145,8 @@ impl Interval {
     /// The compiled evaluation kernels reproduce this rule bit-for-bit in
     /// their interval power tables — including the sign-split case where
     /// even powers of a zero-straddling interval bottom out at exactly
-    /// zero — for both the scalar and the lane-batched fills; the
-    /// `prop_interval_batch_even_power_containment` proptest in the
-    /// `compiled` module extends the containment guarantees here to every
-    /// lane of a batched sweep.
+    /// zero; the `prop_interval_even_power_containment` proptest in the
+    /// `compiled` module pins the compiled table fill to this rule.
     pub fn powi(&self, n: u32) -> Interval {
         match n {
             0 => Interval::point(1.0),

@@ -33,11 +33,7 @@
 //! structure-of-arrays batch, sweeping [`LANE_WIDTH`] states at a time
 //! through fixed-width inner loops the compiler can vectorize.  Every lane
 //! is **bit-for-bit** the scalar result (debug builds assert this per
-//! lane), so batching never changes a decision.  The same lane discipline
-//! extends to interval arithmetic: a [`BatchBoxes`] batch of axis-aligned
-//! boxes sweeps through `evaluate_interval_batch`, which is what lets
-//! branch-and-bound expand its frontier [`LANE_WIDTH`] boxes per
-//! power-table fill without changing a single proof outcome:
+//! lane), so batching never changes a decision:
 //!
 //! ```
 //! use vrl_poly::{BatchPoints, Polynomial};
@@ -57,6 +53,9 @@
 //! }
 //! assert_eq!(values.iter().filter(|&&v| v <= 0.0).count(), 2);
 //! ```
+//!
+//! Interval evaluation has no batched form: branch-and-bound evaluates one
+//! box at a time through the scalar interval kernel.
 //!
 //! # Examples
 //!
@@ -82,7 +81,7 @@ mod polynomial;
 mod portable;
 
 pub use basis::{basis_size, monomial_basis};
-pub use batch::{BatchBoxes, BatchPoints};
+pub use batch::BatchPoints;
 pub use compiled::{CompiledPolySet, CompiledPolynomial, PolyScratch, LANE_WIDTH};
 pub use interval::Interval;
 pub use polynomial::Polynomial;

@@ -8,8 +8,8 @@
 //!
 //! 1. Grid the safe box into axis-aligned cells ([`TableConfig::resolution`]
 //!    per dimension, ragged resolutions allowed).
-//! 2. Run the existing lane-batched interval kernels over every cell for the
-//!    whole certificate family at once.
+//! 2. Evaluate the whole certificate family over every cell, one cell at a
+//!    time, through the scalar compiled interval kernel.
 //! 3. Classify each cell: **covered** (every point of the cell is provably
 //!    inside some invariant and outside every obstacle — proposals landing
 //!    here are kept), **uncovered** (every point provably escapes all
@@ -41,7 +41,7 @@
 //! definition, answered in O(1) without any certificate work.
 
 use vrl_dynamics::{BoxRegion, EnvironmentContext};
-use vrl_poly::{BatchBoxes, Interval, LANE_WIDTH};
+use vrl_poly::{Interval, PolyScratch};
 use vrl_solver::with_query_cache;
 
 use crate::ShieldPiece;
@@ -248,8 +248,8 @@ pub struct DecisionTable {
 
 impl DecisionTable {
     /// Grids the environment's safe box and certifies every cell against
-    /// the pieces' invariants with one lane-batched interval sweep per
-    /// [`LANE_WIDTH`] cells.
+    /// the pieces' invariants with one interval evaluation of the whole
+    /// certificate family per cell.
     ///
     /// The whole build runs under a `shield.table_build` tracing span and
     /// reports its cell census to the `vrl_shield_decide_table_cells`
@@ -327,48 +327,24 @@ impl DecisionTable {
         let certified = cells.min(config.build_budget);
         stats.boundary += cells - certified;
 
-        let mut boxes = BatchBoxes::with_capacity(dim, LANE_WIDTH);
-        let mut enclosures: Vec<Interval> = Vec::new();
+        let mut scratch = PolyScratch::new();
+        let mut enclosures = vec![Interval::zero(); pieces.len()];
         let mut cell = vec![Interval::zero(); dim];
         let mut indices = vec![0usize; dim];
-        let mut base = 0usize;
-        while base < certified {
-            let lanes = LANE_WIDTH.min(certified - base);
-            boxes.clear();
-            for lane in 0..lanes {
-                cell_box(
-                    &boundaries,
-                    &strides,
-                    &resolution,
-                    base + lane,
-                    &mut indices,
-                );
-                for d in 0..dim {
-                    cell[d] =
-                        Interval::new(boundaries[d][indices[d]], boundaries[d][indices[d] + 1]);
-                }
-                boxes.push(&cell);
+        for idx in 0..certified {
+            cell_box(&boundaries, &strides, &resolution, idx, &mut indices);
+            for d in 0..dim {
+                cell[d] = Interval::new(boundaries[d][indices[d]], boundaries[d][indices[d] + 1]);
             }
-            family.evaluate_interval_batch(&boxes, &mut enclosures);
-            for lane in 0..lanes {
-                let idx = base + lane;
-                cell_box(&boundaries, &strides, &resolution, idx, &mut indices);
-                for d in 0..dim {
-                    cell[d] =
-                        Interval::new(boundaries[d][indices[d]], boundaries[d][indices[d] + 1]);
-                }
-                let enclosure_of = |j: usize| enclosures[j * lanes + lane];
-                let (cls, intervention) =
-                    classify_cell(&cell, pieces.len(), enclosure_of, safety.obstacles());
-                class[idx] = cls as u8;
-                piece[idx] = intervention.map_or(NO_PIECE, |j| j as u16);
-                match cls {
-                    CellClass::Covered => stats.covered += 1,
-                    CellClass::Uncovered => stats.uncovered += 1,
-                    CellClass::Boundary => stats.boundary += 1,
-                }
+            family.eval_interval_into_with(&cell, &mut enclosures, &mut scratch);
+            let (cls, intervention) = classify_cell(&cell, &enclosures, safety.obstacles());
+            class[idx] = cls as u8;
+            piece[idx] = intervention.map_or(NO_PIECE, |j| j as u16);
+            match cls {
+                CellClass::Covered => stats.covered += 1,
+                CellClass::Uncovered => stats.uncovered += 1,
+                CellClass::Boundary => stats.boundary += 1,
             }
-            base += lanes;
         }
         stats.memory_bytes = class.len() * std::mem::size_of::<u8>()
             + piece.len() * std::mem::size_of::<u16>()
@@ -515,7 +491,7 @@ fn cell_box(
     }
 }
 
-/// Classifies one cell from the family enclosures `enclosure_of(piece)`
+/// Classifies one cell from the family enclosures (one per piece)
 /// evaluated over `cell`, plus the obstacle set.
 ///
 /// Returns the class and the constant intervention piece (`Some(j)` iff
@@ -524,16 +500,14 @@ fn cell_box(
 /// scan returns `j` for every point of the cell).
 fn classify_cell(
     cell: &[Interval],
-    num_pieces: usize,
-    enclosure_of: impl Fn(usize) -> Interval,
+    enclosures: &[Interval],
     obstacles: &[BoxRegion],
 ) -> (CellClass, Option<usize>) {
     let mut any_contained = false;
     let mut all_excluded = true;
     let mut intervention = None;
     let mut prefix_excluded = true;
-    for j in 0..num_pieces {
-        let enclosure = enclosure_of(j);
+    for (j, enclosure) in enclosures.iter().enumerate() {
         let margin = CERT_MARGIN * (1.0 + enclosure.abs_max());
         // NaN endpoints fail both comparisons: the cell stays boundary.
         let contained = enclosure.hi() <= -margin;
@@ -793,5 +767,68 @@ mod tests {
             }
             x += 0.0031;
         }
+    }
+
+    #[test]
+    fn build_matches_per_cell_reference_enclosures() {
+        // Two overlapping pieces and an obstacle on a ragged 2-D grid: every
+        // cell's class and intervention piece must be what `classify_cell`
+        // gives on enclosures evaluated straight off the sparse
+        // polynomials, cell by cell in row-major order.
+        let dynamics = PolyDynamics::new(
+            2,
+            1,
+            vec![Polynomial::variable(1, 3), Polynomial::variable(2, 3)],
+        )
+        .unwrap();
+        let env = EnvironmentContext::new(
+            "toy-2d",
+            dynamics,
+            0.01,
+            BoxRegion::symmetric(&[0.5, 0.5]),
+            SafetySpec::inside(BoxRegion::symmetric(&[1.0, 1.0]))
+                .with_obstacle(BoxRegion::new(vec![0.6, -0.2], vec![0.9, 0.2])),
+        );
+        let x = Polynomial::variable(0, 2);
+        let y = Polynomial::variable(1, 2);
+        let disc = &(&(&x * &x) + &(&y * &y)) - &Polynomial::constant(0.81, 2);
+        let shifted = &x - &Polynomial::constant(0.3, 2);
+        let ellipse =
+            &(&(&shifted * &shifted) + &(&y * &y).scaled(2.0)) - &Polynomial::constant(0.2, 2);
+        let program = PolicyProgram::linear(&[vec![-1.0, -1.0]], &[0.0]);
+        let pieces = vec![
+            ShieldPiece::new(program.clone(), BarrierCertificate::new(ellipse)),
+            ShieldPiece::new(program, BarrierCertificate::new(disc)),
+        ];
+        let config = TableConfig {
+            resolution: vec![13, 7],
+            ..TableConfig::uniform(1)
+        };
+        let table = DecisionTable::build(&env, &pieces, &config).unwrap();
+        assert_eq!(table.class.len(), 13 * 7);
+        let mut seen = [0usize; 3];
+        for i in 0..13 {
+            for j in 0..7 {
+                let cell = [
+                    Interval::new(table.boundaries[0][i], table.boundaries[0][i + 1]),
+                    Interval::new(table.boundaries[1][j], table.boundaries[1][j + 1]),
+                ];
+                let enclosures: Vec<Interval> = pieces
+                    .iter()
+                    .map(|p| p.invariant().polynomial().eval_interval(&cell))
+                    .collect();
+                let (class, piece) = classify_cell(&cell, &enclosures, env.safety().obstacles());
+                let idx = i * 7 + j;
+                assert_eq!(table.class[idx], class as u8, "cell ({i}, {j})");
+                assert_eq!(
+                    table.piece[idx],
+                    piece.map_or(NO_PIECE, |p| p as u16),
+                    "cell ({i}, {j})"
+                );
+                seen[class as usize] += 1;
+            }
+        }
+        // The grid exercises every class.
+        assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
     }
 }

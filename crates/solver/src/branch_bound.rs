@@ -14,22 +14,20 @@
 //!
 //! # Evaluation strategy
 //!
-//! The objective and guards of a query are compiled together into one
-//! [`CompiledPolySet`] — pulled from the two-level
+//! The search is the classic depth-first branch-and-bound: pop one box,
+//! prune it by the guards, certify it by the objective's enclosure, probe
+//! its midpoint and corners for a counterexample, or split it along its
+//! widest side and push the left then the right half.  The objective and
+//! the guards that survive root-domain hoisting are each compiled once into
+//! a [`CompiledPolySet`] pulled from the two-level
 //! [`crate::CompiledQueryCache`], so CEGIS loops that re-prove the same
-//! certificate family never recompile — and the search expands its frontier
-//! [`vrl_poly::LANE_WIDTH`] boxes per sweep through the lane-batched
-//! interval kernels.  Both choices are outcome-neutral: the cached compiled
-//! family is exactly what a fresh compilation would produce, and each lane
-//! of a batched sweep is bit-identical to the scalar interval kernel, so
-//! the search examines the same boxes in the same order and returns the
-//! same verdicts and witnesses as the scalar path
-//! (`BranchBoundConfig::lane_batched = false`, which remains available as
-//! the differential-testing reference).
+//! certificate family never recompile.  The compiled kernels are bit-for-bit
+//! the sparse reference evaluators, so the search examines the same boxes
+//! in the same order, and returns the same verdicts and witnesses, as the
+//! uncompiled depth-first loop (`tests/branch_bound_conformance.rs` pins
+//! this on every Table 1 benchmark).
 
-use vrl_poly::{
-    BatchBoxes, BatchPoints, CompiledPolySet, Interval, PolyScratch, Polynomial, LANE_WIDTH,
-};
+use vrl_poly::{CompiledPolySet, Interval, PolyScratch, Polynomial};
 
 use crate::cache::with_query_cache;
 
@@ -46,26 +44,6 @@ pub struct BranchBoundConfig {
     /// Numerical slack: the inequality `p ≤ bound` is certified when the
     /// interval upper bound is `≤ bound + tolerance`.
     pub tolerance: f64,
-    /// Expand the frontier [`vrl_poly::LANE_WIDTH`] boxes per sweep through
-    /// the lane-batched interval kernels (the default).  `false` evaluates
-    /// one box at a time through the scalar kernels; both modes examine the
-    /// same boxes in the same order and return bit-identical outcomes — the
-    /// scalar mode exists as the reference arm of the differential
-    /// conformance tests.
-    pub lane_batched: bool,
-    /// Counterexample-first probing window: while fewer than this many
-    /// boxes have been examined, the frontier advances **one box at a
-    /// time** — exactly the classic depth-first probe order, in which each
-    /// undecided box's midpoint and corners are point-evaluated through the
-    /// compiled kernels before it is split, so refuting queries surface
-    /// their witness as fast as the seed DFS with no speculative wave work
-    /// wasted past it.  Past the threshold the search is almost certainly
-    /// proving, not refuting, and the frontier widens to full
-    /// [`LANE_WIDTH`] waves for lane-batched throughput.  The threshold is
-    /// compared against the deterministic box counter, so the scalar and
-    /// batched modes pop identical boxes in identical order.  `0` skips the
-    /// window and opens at full wave width immediately.
-    pub probe_boxes: usize,
 }
 
 impl Default for BranchBoundConfig {
@@ -74,8 +52,6 @@ impl Default for BranchBoundConfig {
             max_boxes: 200_000,
             min_width: 1e-4,
             tolerance: 1e-9,
-            lane_batched: true,
-            probe_boxes: 1024,
         }
     }
 }
@@ -169,21 +145,32 @@ impl<'a> BoundQuery<'a> {
 /// Attempts to prove a [`BoundQuery`] over an axis-aligned box given as
 /// per-dimension intervals.
 ///
-/// The compiled `objective + guards` family is pulled from the two-level
-/// [`crate::CompiledQueryCache`], and the frontier is expanded in waves of
-/// up to [`LANE_WIDTH`] boxes: each wave pops the top of the work stack,
-/// evaluates the whole family over every popped box in one lane-batched
-/// sweep (one interval power-table fill per variable for the wave), and
-/// then processes the boxes in pop order — prune, certify, probe for a
-/// counterexample, or split, with children pushed for a later wave.  The
-/// opening [`BranchBoundConfig::probe_boxes`] boxes run one per wave — the
-/// classic counterexample-first DFS order, so refutations pay for no
-/// speculative siblings — before the frontier widens to full lanes.  The
-/// scalar mode ([`BranchBoundConfig::lane_batched`]` = false`) pops the
-/// **same** waves in the same order and evaluates each box through the
-/// scalar kernels, whose values the lane kernels reproduce bit-for-bit —
-/// so the two modes examine the same boxes in the same order and return
-/// identical outcomes, witnesses included.
+/// Depth-first branch-and-bound: each popped box is pruned when a guard's
+/// enclosure is certainly positive on it, certified when the objective's
+/// enclosure is at most `bound + tolerance`, refuted when its midpoint or
+/// an extreme corner is a genuine counterexample, and otherwise split along
+/// its widest side, left half pushed before right.  The compiled
+/// `objective + guards` forms come from the two-level
+/// [`crate::CompiledQueryCache`]; guards whose enclosure over the whole
+/// domain is already non-positive are dropped before the search, since they
+/// can neither prune a box nor reject a probe.
+///
+/// # Examples
+///
+/// ```
+/// use vrl_poly::{Interval, Polynomial};
+/// use vrl_solver::{prove_bound, BoundQuery, BranchBoundConfig};
+///
+/// // x ≤ 0.5 fails on [0, 1], but holds where the guard x − 0.25 ≤ 0 does.
+/// let x = Polynomial::variable(0, 1);
+/// let guard = &x - &Polynomial::constant(0.25, 1);
+/// let domain = [Interval::new(0.0, 1.0)];
+/// let config = BranchBoundConfig::default();
+/// let refuted = prove_bound(&BoundQuery::new(&x, 0.5), &domain, &config);
+/// assert_eq!(refuted.counterexample(), Some(&[1.0][..]));
+/// let guarded = BoundQuery::new(&x, 0.5).with_guard(&guard);
+/// assert!(prove_bound(&guarded, &domain, &config).is_proved());
+/// ```
 ///
 /// # Panics
 ///
@@ -234,170 +221,69 @@ pub fn prove_bound(
     let guards = (!active_guard_polys.is_empty())
         .then(|| with_query_cache(|cache| cache.get_or_compile(&active_guard_polys)));
     let num_guards = active_guard_polys.len();
-    // Reusable buffers: the candidate point and guard values of the
-    // counterexample probes, the wave of popped boxes with their
-    // evaluations, and the box batches of the lane sweeps.
+    // Reusable buffers: the guard enclosures of the current box, and the
+    // candidate point and guard values of the counterexample probes.
+    let mut guard_values = vec![Interval::zero(); num_guards];
     let mut point = vec![0.0; domain.len()];
     let mut guard_point_values = vec![0.0; num_guards];
-    let mut guard_values = vec![Interval::zero(); num_guards];
-    let mut batch = BatchBoxes::with_capacity(domain.len(), LANE_WIDTH);
-    let mut live_batch = BatchBoxes::with_capacity(domain.len(), LANE_WIDTH);
-    let mut batch_out: Vec<Interval> = Vec::new();
-    let mut wave: Vec<Vec<Interval>> = Vec::with_capacity(LANE_WIDTH);
-    let mut wave_evals: Vec<(Interval, bool)> = Vec::with_capacity(LANE_WIDTH);
-    let mut live_lanes: Vec<usize> = Vec::with_capacity(LANE_WIDTH);
     let mut stack: Vec<Vec<Interval>> = vec![domain.to_vec()];
     let mut boxes_examined = 0usize;
     let mut worst_box: Option<(Vec<f64>, Vec<f64>, f64)> = None;
     let mut undecided_smallest = false;
-    while !stack.is_empty() {
-        // Pop the next wave off the frontier and evaluate it: guards over
-        // the whole wave first, then the objective over the lanes no guard
-        // pruned — lane-batched in family sweeps, or box-by-box through the
-        // scalar kernels; the values (and hence everything below) are
-        // bit-identical either way.
-        //
-        // Counterexample-first window: evaluating a wave is speculative — a
-        // counterexample in its first box makes the rest wasted work, and
-        // sibling sub-trees that a depth-first probe would never reach get
-        // expanded.  So while the deterministic box counter is below
-        // [`BranchBoundConfig::probe_boxes`] the wave is a single box,
-        // which makes the traversal exactly the classic DFS probe order:
-        // refuting queries surface their witness (midpoint/corner probes in
-        // `find_counterexample`) having examined precisely the boxes the
-        // seed DFS would have.  Past the window the search is almost
-        // certainly proving — proofs must examine every box regardless of
-        // order — and the frontier widens to full lanes.  The width is a
-        // function of the box counter alone, so the scalar and batched
-        // modes pop identical waves.
-        wave.clear();
-        tally.wave();
-        let wave_width = if boxes_examined < config.probe_boxes {
-            1
-        } else {
-            LANE_WIDTH
-        };
-        for _ in 0..wave_width.min(stack.len()) {
-            wave.push(stack.pop().expect("bounded by stack length"));
+    while let Some(current) = stack.pop() {
+        boxes_examined += 1;
+        tally.box_examined();
+        if boxes_examined > config.max_boxes {
+            return ProofOutcome::Unknown {
+                boxes_examined,
+                worst_box: worst_box.map(|(l, h, _)| (l, h)),
+            };
         }
-        wave_evals.clear();
-        // Width-1 waves take the scalar kernels even in batched mode: the
-        // lane kernels reproduce them bit-for-bit, and a one-lane batch
-        // sweep costs more than a scalar evaluation, so inside the DFS
-        // window both modes run the identical (cheapest) code path.
-        if config.lane_batched && wave.len() > 1 {
-            let lanes = wave.len();
-            // Pruned lanes keep a placeholder enclosure that is never read.
-            wave_evals.resize(lanes, (Interval::zero(), true));
-            live_lanes.clear();
-            if let Some(guards) = &guards {
-                batch.clear();
-                for current in &wave {
-                    batch.push(current);
-                }
-                guards.evaluate_interval_batch_with(&batch, &mut batch_out, &mut scratch);
-                for lane in 0..lanes {
-                    let prunes = (0..num_guards).any(|gi| batch_out[gi * lanes + lane].lo() > 0.0);
-                    if !prunes {
-                        live_lanes.push(lane);
-                    }
-                }
-            } else {
-                live_lanes.extend(0..lanes);
-            }
-            live_batch.clear();
-            for &lane in &live_lanes {
-                live_batch.push(&wave[lane]);
-            }
-            objective
-                .0
-                .evaluate_interval_batch_with(&live_batch, &mut batch_out, &mut scratch);
-            for (slot, &lane) in batch_out.iter().zip(live_lanes.iter()) {
-                wave_evals[lane] = (*slot, false);
-            }
-        } else {
-            for current in &wave {
-                let prunes = match &guards {
-                    Some(guards) => {
-                        guards.eval_interval_into_with(current, &mut guard_values, &mut scratch);
-                        guard_values.iter().any(|enclosure| enclosure.lo() > 0.0)
-                    }
-                    None => false,
-                };
-                if prunes {
-                    wave_evals.push((Interval::zero(), true));
-                } else {
-                    wave_evals.push((objective.eval_interval_with(current, &mut scratch), false));
-                }
-            }
-        }
-        // Process the wave in pop order.
-        for (current, &(enclosure, guard_prunes)) in wave.drain(..).zip(wave_evals.iter()) {
-            boxes_examined += 1;
-            tally.box_examined();
-            if boxes_examined > config.max_boxes {
-                return ProofOutcome::Unknown {
-                    boxes_examined,
-                    worst_box: worst_box.map(|(l, h, _)| (l, h)),
-                };
-            }
-            // Guard pruning: if any active guard is certainly positive on
-            // this box, no point of the box is relevant to the query.
-            if guard_prunes {
+        // Guard pruning: if any active guard is certainly positive on this
+        // box, no point of the box is relevant to the query.
+        if let Some(guards) = &guards {
+            guards.eval_interval_into_with(&current, &mut guard_values, &mut scratch);
+            if guard_values.iter().any(|enclosure| enclosure.lo() > 0.0) {
                 tally.guard_prune();
                 continue;
             }
-            if enclosure.hi() <= query.bound + config.tolerance {
-                continue; // certified on this box
-            }
-            // Try to produce a genuine counterexample at the box midpoint
-            // (and at the corners bounding the enclosure) before splitting.
-            if let Some(cex) = find_counterexample(
-                &objective,
-                guards.as_deref(),
-                &mut guard_point_values,
-                query.bound,
-                &current,
-                &mut point,
-                &mut scratch,
-            ) {
-                tally.found_counterexample();
-                return cex;
-            }
-            let widest = current.iter().map(Interval::width).fold(0.0f64, f64::max);
-            if widest <= config.min_width {
-                // Cannot split further and cannot decide: record and
-                // continue; the overall result will be Unknown (sound: we
-                // never claim a proof).
-                let margin = enclosure.hi() - query.bound;
-                let lows: Vec<f64> = current.iter().map(Interval::lo).collect();
-                let highs: Vec<f64> = current.iter().map(Interval::hi).collect();
-                match &worst_box {
-                    Some((_, _, m)) if *m >= margin => {}
-                    _ => worst_box = Some((lows, highs, margin)),
-                }
-                undecided_smallest = true;
-                continue;
-            }
-            // Split along the widest dimension.
-            let split_dim = current
-                .iter()
-                .enumerate()
-                .max_by(|a, b| {
-                    a.1.width()
-                        .partial_cmp(&b.1.width())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            let (left, right) = current[split_dim].bisect();
-            let mut left_box = current.clone();
-            left_box[split_dim] = left;
-            let mut right_box = current;
-            right_box[split_dim] = right;
-            stack.push(left_box);
-            stack.push(right_box);
         }
+        let enclosure = objective.eval_interval_with(&current, &mut scratch);
+        if enclosure.hi() <= query.bound + config.tolerance {
+            continue; // certified on this box
+        }
+        // Try to produce a genuine counterexample at the box midpoint (and
+        // at the corners bounding the enclosure) before splitting.
+        if let Some(cex) = find_counterexample(
+            &objective,
+            guards.as_deref(),
+            &mut guard_point_values,
+            query.bound,
+            &current,
+            &mut point,
+            &mut scratch,
+        ) {
+            tally.found_counterexample();
+            return cex;
+        }
+        let widest = current.iter().map(Interval::width).fold(0.0f64, f64::max);
+        if widest <= config.min_width {
+            // Cannot split further and cannot decide: record and continue;
+            // the overall result will be Unknown (sound: we never claim a
+            // proof).
+            let margin = enclosure.hi() - query.bound;
+            let lows: Vec<f64> = current.iter().map(Interval::lo).collect();
+            let highs: Vec<f64> = current.iter().map(Interval::hi).collect();
+            match &worst_box {
+                Some((_, _, m)) if *m >= margin => {}
+                _ => worst_box = Some((lows, highs, margin)),
+            }
+            undecided_smallest = true;
+            continue;
+        }
+        let (left, right) = bisect_widest(current);
+        stack.push(left);
+        stack.push(right);
     }
 
     if undecided_smallest {
@@ -408,6 +294,27 @@ pub fn prove_bound(
     } else {
         ProofOutcome::Proved { boxes_examined }
     }
+}
+
+/// Splits a box in half along its widest side (the last widest on ties),
+/// returning the lower and the upper half.
+fn bisect_widest(current: Vec<Interval>) -> (Vec<Interval>, Vec<Interval>) {
+    let split_dim = current
+        .iter()
+        .enumerate()
+        .max_by(|a, b| {
+            a.1.width()
+                .partial_cmp(&b.1.width())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        })
+        .map(|(i, _)| i)
+        .unwrap_or(0);
+    let (left, right) = current[split_dim].bisect();
+    let mut left_box = current.clone();
+    left_box[split_dim] = left;
+    let mut right_box = current;
+    right_box[split_dim] = right;
+    (left_box, right_box)
 }
 
 /// Attempts to prove `p(x) ≤ 0` for all `x` in the box.
@@ -421,6 +328,24 @@ pub fn prove_nonpositive(
 
 /// Attempts to prove `p(x) > 0` (strictly) for all `x` in the box, by proving
 /// `-p(x) ≤ -margin` for a tiny positive margin.
+///
+/// A counterexample carries `p`'s own value at the witness, so it is `≤ 0`.
+///
+/// # Examples
+///
+/// ```
+/// use vrl_poly::{Interval, Polynomial};
+/// use vrl_solver::{prove_positive, BranchBoundConfig};
+///
+/// let x = Polynomial::variable(0, 1);
+/// let domain = [Interval::new(-3.0, 3.0)];
+/// let config = BranchBoundConfig::default();
+/// let lifted = &(&x * &x) + &Polynomial::constant(0.1, 1);
+/// assert!(prove_positive(&lifted, &domain, &config).is_proved());
+/// let dipped = &(&x * &x) - &Polynomial::constant(0.5, 1);
+/// let refuted = prove_positive(&dipped, &domain, &config);
+/// assert_eq!(refuted.counterexample(), Some(&[0.0][..]));
+/// ```
 pub fn prove_positive(
     p: &Polynomial,
     domain: &[Interval],
@@ -461,39 +386,32 @@ impl SingleMember<'_> {
 /// refinement: the returned value is `≤ min_{x ∈ domain} p(x)`, and
 /// converges towards it as `max_boxes` grows.
 ///
-/// Runs the lane-batched refinement of [`sound_minimum_with`].
+/// # Examples
+///
+/// ```
+/// use vrl_poly::{Interval, Polynomial};
+/// use vrl_solver::sound_minimum;
+///
+/// // x² − x has its minimum −0.25 at x = 0.5; the root enclosure over
+/// // [−1, 2] only bounds it by −2.
+/// let x = Polynomial::variable(0, 1);
+/// let p = &(&x * &x) - &x;
+/// let domain = [Interval::new(-1.0, 2.0)];
+/// assert_eq!(sound_minimum(&p, &domain, 0), -2.0);
+/// let refined = sound_minimum(&p, &domain, 1_000);
+/// assert!(refined <= -0.25 && refined > -0.2501);
+/// ```
+///
+/// Best-first on the interval lower bound: each step pops the box with the
+/// smallest lower bound (the first such box on ties), stops once that bound
+/// is within `1e-9` (relative) of the best midpoint value seen or the box is
+/// narrower than `1e-6`, and otherwise splits the box along its widest side
+/// and queues both halves with their lower bounds.
 ///
 /// # Panics
 ///
 /// Panics if `domain.len()` differs from the polynomial's variable count.
 pub fn sound_minimum(p: &Polynomial, domain: &[Interval], max_boxes: usize) -> f64 {
-    sound_minimum_with(p, domain, max_boxes, true)
-}
-
-/// [`sound_minimum`] with an explicit kernel mode.
-///
-/// The best-first queue is refined in *waves*, mirroring [`prove_bound`]'s
-/// frontier: each sweep pops up to [`LANE_WIDTH`] boxes in best-first order
-/// (ramping up from one box so short refinements keep the classic pop
-/// order), splits every popped box along its widest dimension, and
-/// evaluates all children — interval lower bounds and midpoint upper
-/// bounds — in two family sweeps instead of one kernel call per child.
-/// The same order-stability argument as `prove_bound` applies: the wave
-/// schedule depends only on the sweep count and the deterministic
-/// best-first pop order, and each lane of a batched sweep is bit-identical
-/// to the scalar kernel, so `lane_batched = false` (the differential
-/// reference arm, one scalar kernel call per child in the identical order)
-/// returns a bit-identical bound.
-///
-/// # Panics
-///
-/// Panics if `domain.len()` differs from the polynomial's variable count.
-pub fn sound_minimum_with(
-    p: &Polynomial,
-    domain: &[Interval],
-    max_boxes: usize,
-    lane_batched: bool,
-) -> f64 {
     assert_eq!(
         domain.len(),
         p.nvars(),
@@ -512,117 +430,39 @@ pub fn sound_minimum_with(
     for (m, iv) in midpoint.iter_mut().zip(domain.iter()) {
         *m = iv.midpoint();
     }
-    // Best-first search on the interval lower bound.
     let mut queue: Vec<(f64, Vec<Interval>)> = vec![(
         compiled.eval_interval_with(domain, &mut scratch).lo(),
         domain.to_vec(),
     )];
     let mut upper = compiled.eval_with(&midpoint, &mut scratch);
     let mut examined = 0usize;
-    let mut wave: Vec<(f64, Vec<Interval>)> = Vec::with_capacity(LANE_WIDTH);
-    let mut children: Vec<Vec<Interval>> = Vec::with_capacity(2 * LANE_WIDTH);
-    let mut child_boxes = BatchBoxes::with_capacity(domain.len(), 2 * LANE_WIDTH);
-    let mut child_points = BatchPoints::with_capacity(domain.len(), 2 * LANE_WIDTH);
-    let mut lows_out: Vec<Interval> = Vec::new();
-    let mut mids_out: Vec<f64> = Vec::new();
-    // Wave ramp-up, exactly as in `prove_bound`: one box on the first
-    // sweep, doubling to LANE_WIDTH, so cheap refinements never speculate.
-    let mut wave_width = 1usize;
     while examined < max_boxes && !queue.is_empty() {
-        // Pop this wave best-first — repeated min-scans with the same
-        // first-minimal tie-break the one-box loop used.
-        wave.clear();
-        let take = wave_width.min(queue.len()).min(max_boxes - examined);
-        wave_width = (wave_width * 2).min(LANE_WIDTH);
-        for _ in 0..take {
-            let index = queue
-                .iter()
-                .enumerate()
-                .min_by(|a, b| {
-                    a.1 .0
-                        .partial_cmp(&b.1 .0)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .map(|(i, _)| i)
-                .expect("bounded by queue length");
-            wave.push(queue.swap_remove(index));
-        }
-        // Termination scan in pop order, against the `upper` every box in
-        // the wave was popped under.  Pops past the first terminating box
-        // go back to the queue untouched (and uncounted).
-        let mut split_count = wave.len();
-        let mut finished = false;
-        for (i, (lower, current)) in wave.iter().enumerate() {
-            examined += 1;
-            let converged = upper - lower < 1e-9 * (1.0 + upper.abs());
-            let widest = current.iter().map(Interval::width).fold(0.0f64, f64::max);
-            if converged || widest < 1e-6 {
-                split_count = i;
-                finished = true;
-                break;
-            }
-        }
-        for (lower, unprocessed) in wave.drain(split_count..) {
-            queue.push((lower, unprocessed));
-        }
-        // Split every remaining pop along its widest dimension; the wave's
-        // children are then evaluated together — one interval sweep for the
-        // lower bounds, one point sweep for the midpoint upper bounds — and
-        // pushed in (pop, left, right) order, matching the reference arm.
-        children.clear();
-        for (_, current) in wave.drain(..) {
-            let split_dim = current
-                .iter()
-                .enumerate()
-                .max_by(|a, b| {
-                    a.1.width()
-                        .partial_cmp(&b.1.width())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            let (left, right) = current[split_dim].bisect();
-            let mut left_box = current.clone();
-            left_box[split_dim] = left;
-            let mut right_box = current;
-            right_box[split_dim] = right;
-            children.push(left_box);
-            children.push(right_box);
-        }
-        if lane_batched {
-            child_boxes.clear();
-            child_points.clear();
-            for child in &children {
-                child_boxes.push(child);
-                for (m, iv) in midpoint.iter_mut().zip(child.iter()) {
-                    *m = iv.midpoint();
-                }
-                child_points.push(&midpoint);
-            }
-            compiled
-                .0
-                .evaluate_interval_batch_with(&child_boxes, &mut lows_out, &mut scratch);
-            compiled
-                .0
-                .evaluate_batch_with(&child_points, &mut mids_out, &mut scratch);
-            for (child, (enclosure, mid_value)) in
-                children.drain(..).zip(lows_out.iter().zip(mids_out.iter()))
-            {
-                upper = upper.min(*mid_value);
-                queue.push((enclosure.lo(), child));
-            }
-        } else {
-            for child in children.drain(..) {
-                let child_lower = compiled.eval_interval_with(&child, &mut scratch).lo();
-                for (m, iv) in midpoint.iter_mut().zip(child.iter()) {
-                    *m = iv.midpoint();
-                }
-                upper = upper.min(compiled.eval_with(&midpoint, &mut scratch));
-                queue.push((child_lower, child));
-            }
-        }
-        if finished {
+        let index = queue
+            .iter()
+            .enumerate()
+            .min_by(|a, b| {
+                a.1 .0
+                    .partial_cmp(&b.1 .0)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            })
+            .map(|(i, _)| i)
+            .expect("the queue is not empty");
+        examined += 1;
+        let (lower, current) = &queue[index];
+        let converged = upper - lower < 1e-9 * (1.0 + upper.abs());
+        let widest = current.iter().map(Interval::width).fold(0.0f64, f64::max);
+        if converged || widest < 1e-6 {
             break;
+        }
+        let (_, current) = queue.swap_remove(index);
+        let (left, right) = bisect_widest(current);
+        for child in [left, right] {
+            let child_lower = compiled.eval_interval_with(&child, &mut scratch).lo();
+            for (m, iv) in midpoint.iter_mut().zip(child.iter()) {
+                *m = iv.midpoint();
+            }
+            upper = upper.min(compiled.eval_with(&midpoint, &mut scratch));
+            queue.push((child_lower, child));
         }
     }
     crate::obs::min_boxes().add(examined as u64);
@@ -788,7 +628,6 @@ mod tests {
             max_boxes: 3,
             min_width: 1e-9,
             tolerance: 0.0,
-            ..BranchBoundConfig::default()
         };
         let outcome = prove_bound(
             &BoundQuery::new(&p, -1e-30),
@@ -818,39 +657,152 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_batched_modes_agree_exactly_on_fixed_queries() {
-        // Guarded and unguarded, provable and refutable queries: the
-        // lane-batched frontier must reproduce the scalar outcome exactly,
-        // including witness points and box counts.
+    #[should_panic(expected = "domain dimension must match")]
+    fn prove_bound_rejects_a_domain_of_the_wrong_dimension() {
+        let x = Polynomial::variable(0, 2);
+        let _ = prove_nonpositive(
+            &x,
+            &interval_box(&[(0.0, 1.0)]),
+            &BranchBoundConfig::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "same variables")]
+    fn guards_over_other_variables_are_rejected() {
+        let x = Polynomial::variable(0, 2);
+        let g = Polynomial::variable(0, 1);
+        let _ = BoundQuery::new(&x, 0.0).with_guard(&g);
+    }
+
+    #[test]
+    fn undecidable_boxes_report_unknown_with_the_worst_box() {
+        // x ≤ 0.5 + 1e-12 on [-1, 1] under the guard |x| ≤ 0.5: the boxes
+        // [0.5, 0.5 + w] are never pruned (the guard is 0 at x = 0.5), never
+        // certified, and every probe is either guarded out or within the
+        // bound, so the search bottoms out at `min_width` there.
+        let x = Polynomial::variable(0, 1);
+        let guard = &(&x * &x) - &Polynomial::constant(0.25, 1);
+        let query = BoundQuery::new(&x, 0.5 + 1e-12).with_guard(&guard);
+        let outcome = prove_bound(
+            &query,
+            &interval_box(&[(-1.0, 1.0)]),
+            &BranchBoundConfig::default(),
+        );
+        match outcome {
+            ProofOutcome::Unknown {
+                boxes_examined,
+                worst_box: Some((lows, highs)),
+            } => {
+                assert!(boxes_examined > 1);
+                assert_eq!(lows, vec![0.5]);
+                assert!(highs[0] - lows[0] <= BranchBoundConfig::default().min_width);
+            }
+            other => panic!("expected Unknown with a worst box, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn exhausted_budgets_count_the_box_past_the_budget() {
+        // The undecidable query above needs about 30 boxes to reach its
+        // first `min_width` box; a smaller budget runs out first, and the
+        // box that would exceed it is counted but not examined.
+        let x = Polynomial::variable(0, 1);
+        let guard = &(&x * &x) - &Polynomial::constant(0.25, 1);
+        let query = BoundQuery::new(&x, 0.5 + 1e-12).with_guard(&guard);
+        for max_boxes in [0, 1, 2, 17] {
+            let config = BranchBoundConfig {
+                max_boxes,
+                ..BranchBoundConfig::default()
+            };
+            let outcome = prove_bound(&query, &interval_box(&[(-1.0, 1.0)]), &config);
+            assert_eq!(
+                outcome,
+                ProofOutcome::Unknown {
+                    boxes_examined: max_boxes + 1,
+                    worst_box: None,
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn the_right_half_is_searched_first() {
+        // x² ≤ 2 under the guard x² ≤ 3 on [-2, 2] fails symmetrically near
+        // both ends, and the root's corners are guarded out.  Depth-first
+        // with the right half pushed last pops [0, 2] then [1, 2], whose
+        // midpoint 1.5 is the first genuine counterexample.
+        let x = Polynomial::variable(0, 1);
+        let p = &x * &x;
+        let guard = &p - &Polynomial::constant(3.0, 1);
+        let query = BoundQuery::new(&p, 2.0).with_guard(&guard);
+        let outcome = prove_bound(
+            &query,
+            &interval_box(&[(-2.0, 2.0)]),
+            &BranchBoundConfig::default(),
+        );
+        assert_eq!(
+            outcome,
+            ProofOutcome::Counterexample {
+                point: vec![1.5],
+                value: 2.25,
+            }
+        );
+    }
+
+    #[test]
+    fn guards_that_hold_on_the_whole_domain_change_nothing() {
+        // -1 - x² - y² ≤ 0 everywhere: hoisting drops it before the search,
+        // so the guarded query returns exactly the unguarded outcome,
+        // refuted or proved.
         let x = Polynomial::variable(0, 2);
         let y = Polynomial::variable(1, 2);
-        let e = &(&(&x * &x) + &(&y * &y)) - &Polynomial::constant(1.0, 2);
-        let contracted =
-            &(&(&x * &x).scaled(0.81) + &(&y * &y).scaled(0.81)) - &Polynomial::constant(1.0, 2);
-        let expanded =
-            &(&(&x * &x).scaled(1.2) + &(&y * &y).scaled(1.2)) - &Polynomial::constant(1.0, 2);
-        let domain = interval_box(&[(-2.0, 2.0), (-2.0, 2.0)]);
-        for (objective, guards) in [
-            (&contracted, vec![&e]),
-            (&expanded, vec![&e]),
-            (&contracted, vec![]),
-            (&expanded, vec![]),
-        ] {
-            let mut query = BoundQuery::new(objective, 0.0);
-            for guard in guards {
-                query = query.with_guard(guard);
-            }
-            let scalar = prove_bound(
-                &query,
+        let r2 = &(&x * &x) + &(&y * &y);
+        let always = &(-&r2) - &Polynomial::constant(1.0, 2);
+        let domain = interval_box(&[(-1.0, 1.0), (-1.0, 1.0)]);
+        let config = BranchBoundConfig::default();
+        for bound in [0.5, 2.0] {
+            let plain = prove_bound(&BoundQuery::new(&r2, bound), &domain, &config);
+            let guarded = prove_bound(
+                &BoundQuery::new(&r2, bound).with_guard(&always),
                 &domain,
-                &BranchBoundConfig {
-                    lane_batched: false,
-                    ..BranchBoundConfig::default()
-                },
+                &config,
             );
-            let batched = prove_bound(&query, &domain, &BranchBoundConfig::default());
-            assert_eq!(scalar, batched);
+            assert_eq!(plain, guarded);
         }
+    }
+
+    #[test]
+    fn prove_positive_reports_the_witness_value_of_p() {
+        let x = Polynomial::variable(0, 1);
+        let q = &(&x * &x) - &Polynomial::constant(0.5, 1);
+        let outcome = prove_positive(
+            &q,
+            &interval_box(&[(-3.0, 3.0)]),
+            &BranchBoundConfig::default(),
+        );
+        match outcome {
+            ProofOutcome::Counterexample { point, value } => {
+                assert_eq!(value.to_bits(), q.eval(&point).to_bits());
+                assert!(value <= 0.0);
+            }
+            other => panic!("expected a counterexample, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sound_minimum_converges_to_a_known_minimum() {
+        // (x − 0.3)² + 0.1 has its minimum 0.1 at x = 0.3.
+        let x = Polynomial::variable(0, 1);
+        let shifted = &x - &Polynomial::constant(0.3, 1);
+        let p = &(&shifted * &shifted) + &Polynomial::constant(0.1, 1);
+        let domain = interval_box(&[(-1.0, 1.0)]);
+        let minimum = sound_minimum(&p, &domain, 10_000);
+        assert!(minimum <= 0.1, "{minimum} is not a lower bound");
+        assert!(minimum > 0.1 - 1e-6, "{minimum} did not converge");
+        // With no budget the answer is the root enclosure's lower bound.
+        let root = p.eval_interval(&domain).lo();
+        assert_eq!(sound_minimum(&p, &domain, 0).to_bits(), root.to_bits());
     }
 
     #[test]
@@ -886,35 +838,6 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// The lane-batched frontier returns exactly the scalar outcome on
-        /// random quadratic queries: same verdict, same witness, same box
-        /// count — speculation over the stack never changes the search.
-        #[test]
-        fn prop_batched_equals_scalar(
-            coeffs in proptest::collection::vec(-2.0..2.0f64, 6),
-            gcoeffs in proptest::collection::vec(-2.0..2.0f64, 6),
-            bound in -1.0..1.0f64,
-        ) {
-            let basis = monomial_basis(2, 2);
-            let p = Polynomial::from_basis(2, &basis, &coeffs);
-            let g = Polynomial::from_basis(2, &basis, &gcoeffs);
-            let domain = interval_box(&[(-1.0, 1.0), (-1.0, 1.0)]);
-            let query = BoundQuery::new(&p, bound).with_guard(&g);
-            // Keep the budget modest so refuted/unknown cases stay cheap.
-            let scalar_config = BranchBoundConfig {
-                max_boxes: 20_000,
-                lane_batched: false,
-                ..BranchBoundConfig::default()
-            };
-            let batched_config = BranchBoundConfig {
-                max_boxes: 20_000,
-                ..BranchBoundConfig::default()
-            };
-            let scalar = prove_bound(&query, &domain, &scalar_config);
-            let batched = prove_bound(&query, &domain, &batched_config);
-            prop_assert_eq!(scalar, batched);
-        }
-
         #[test]
         fn prop_proved_queries_hold_on_samples(
             coeffs in proptest::collection::vec(-2.0..2.0f64, 6),
@@ -934,22 +857,18 @@ mod tests {
             prop_assert!(p.eval(&sample) <= bound + 1e-9);
         }
 
-        /// The wave-batched `sound_minimum` returns a bit-identical bound
-        /// to the scalar reference arm, and the bound is genuinely sound
-        /// against point samples.
+        /// `sound_minimum` is a genuine lower bound against point samples.
         #[test]
-        fn prop_sound_minimum_batched_equals_scalar(
+        fn prop_sound_minimum_is_a_lower_bound(
             coeffs in proptest::collection::vec(-2.0..2.0f64, 6),
             tx in 0.0..1.0f64, ty in 0.0..1.0f64,
         ) {
             let basis = monomial_basis(2, 2);
             let p = Polynomial::from_basis(2, &basis, &coeffs);
             let domain = interval_box(&[(-1.0, 1.0), (-1.0, 1.0)]);
-            let batched = sound_minimum_with(&p, &domain, 5_000, true);
-            let scalar = sound_minimum_with(&p, &domain, 5_000, false);
-            prop_assert_eq!(batched.to_bits(), scalar.to_bits());
+            let minimum = sound_minimum(&p, &domain, 5_000);
             let sample = [-1.0 + 2.0 * tx, -1.0 + 2.0 * ty];
-            prop_assert!(batched <= p.eval(&sample) + 1e-9);
+            prop_assert!(minimum <= p.eval(&sample) + 1e-9);
         }
 
         #[test]

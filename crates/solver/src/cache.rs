@@ -1,8 +1,8 @@
 //! Cross-query cache of compiled `objective + guards` families.
 //!
 //! Every branch-and-bound query compiles its objective and guard
-//! polynomials into one flat [`CompiledPolySet`] so each box (or lane of
-//! boxes) fills the per-variable power tables once for the whole family.
+//! polynomials into flat [`CompiledPolySet`]s so each box fills the
+//! per-variable power tables once for the whole family.
 //! CEGIS loops re-prove the *same* certificate families over and over —
 //! every separation region re-checks the same negated barrier, and every
 //! re-proof round replays queries an earlier round already compiled — so

@@ -17,16 +17,11 @@
 //!
 //! # Branch-and-bound evaluation and the query cache
 //!
-//! Every `prove_*` query compiles its objective and guards into one flat
-//! `objective + guards` family and expands its frontier
-//! [`vrl_poly::LANE_WIDTH`] boxes per sweep through the lane-batched
-//! interval kernels; both are bit-for-bit outcome-neutral versus the scalar
-//! path (kept behind [`BranchBoundConfig::lane_batched`]` = false` as the
-//! differential-testing reference).  Refuting queries additionally get a
-//! counterexample-first window: the opening boxes are traversed one per
-//! wave in classic depth-first order (see
-//! [`BranchBoundConfig::probe_boxes`]), so refutations surface as fast as a
-//! plain depth-first probe.  Compiled families are memoized in a two-level
+//! Every `prove_*` query is a depth-first branch-and-bound over boxes: one
+//! box at a time, evaluated through the scalar compiled interval kernels,
+//! whose enclosures are bit-for-bit those of the sparse reference
+//! evaluator, so the search visits exactly the boxes of the uncompiled
+//! depth-first loop.  Compiled families are memoized in a two-level
 //! [`CompiledQueryCache`] keyed by the exact term content of the query
 //! polynomials — a lock-free per-thread L1 backed by a process-wide
 //! sharded L2, so CEGIS loops that re-prove the same certificate family
@@ -38,8 +33,8 @@
 //! [`DEFAULT_QUERY_CACHE_CAPACITY`]); [`query_cache_stats`] /
 //! [`reset_query_cache`] expose the per-thread counters for tests and
 //! benches, and [`shared_query_cache_stats`] the process-wide ones.  Cache
-//! traffic and branch-and-bound work tallies (queries, boxes, waves,
-//! prunes, counterexamples) are additionally mirrored into the
+//! traffic and branch-and-bound work tallies (queries, boxes, prunes,
+//! counterexamples) are additionally mirrored into the
 //! process-wide [`vrl_obs`] registry for `GET /metrics` scrapes;
 //! [`install_metrics`] forces registration of the full series set.
 //!
@@ -66,8 +61,8 @@ mod lyapunov;
 mod obs;
 
 pub use branch_bound::{
-    prove_bound, prove_nonpositive, prove_positive, sound_minimum, sound_minimum_with, BoundQuery,
-    BranchBoundConfig, ProofOutcome,
+    prove_bound, prove_nonpositive, prove_positive, sound_minimum, BoundQuery, BranchBoundConfig,
+    ProofOutcome,
 };
 pub use cache::{
     query_cache_stats, reset_query_cache, reset_shared_query_cache, shared_query_cache_stats,

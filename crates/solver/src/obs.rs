@@ -40,11 +40,6 @@ solver_counter!(
     "Boxes popped off branch-and-bound frontiers."
 );
 solver_counter!(
-    bb_waves,
-    "vrl_solver_bb_waves_total",
-    "Lane waves expanded by branch-and-bound frontiers."
-);
-solver_counter!(
     bb_guard_prunes,
     "vrl_solver_bb_guard_prunes_total",
     "Boxes excluded by guard pruning before objective evaluation."
@@ -95,7 +90,6 @@ solver_counter!(
 pub fn install_metrics() {
     let _ = bb_queries();
     let _ = bb_boxes();
-    let _ = bb_waves();
     let _ = bb_guard_prunes();
     let _ = bb_counterexamples();
     let _ = min_boxes();
@@ -109,14 +103,22 @@ pub fn install_metrics() {
 
 /// Per-query work tally for one [`crate::prove_bound`] call.
 ///
-/// Increments are non-atomic [`Cell`] bumps; the flush to the global
-/// counters happens exactly once, on `Drop`, whichever way the query
-/// returns.
+/// Increments are non-atomic [`Cell`] bumps; the counts reach the global
+/// counters through [`BbTally::flush`], which `Drop` calls, so they are
+/// flushed whichever way the query returns.
 pub(crate) struct BbTally {
-    boxes: Cell<u64>,
-    waves: Cell<u64>,
-    prunes: Cell<u64>,
-    counterexample: Cell<bool>,
+    counts: Cell<BbCounts>,
+}
+
+/// The work a [`BbTally`] has counted since it started or last flushed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct BbCounts {
+    /// Boxes popped off the frontier.
+    pub(crate) boxes: u64,
+    /// Boxes excluded by guard pruning.
+    pub(crate) prunes: u64,
+    /// Whether the query was refuted by a counterexample.
+    pub(crate) counterexample: bool,
 }
 
 impl BbTally {
@@ -124,46 +126,50 @@ impl BbTally {
     pub(crate) fn start() -> Self {
         bb_queries().inc();
         BbTally {
-            boxes: Cell::new(0),
-            waves: Cell::new(0),
-            prunes: Cell::new(0),
-            counterexample: Cell::new(false),
+            counts: Cell::new(BbCounts::default()),
         }
+    }
+
+    fn bump(&self, f: impl FnOnce(&mut BbCounts)) {
+        let mut counts = self.counts.get();
+        f(&mut counts);
+        self.counts.set(counts);
     }
 
     /// Counts one popped box.
     #[inline]
     pub(crate) fn box_examined(&self) {
-        self.boxes.set(self.boxes.get() + 1);
-    }
-
-    /// Counts one expanded wave.
-    #[inline]
-    pub(crate) fn wave(&self) {
-        self.waves.set(self.waves.get() + 1);
+        self.bump(|c| c.boxes += 1);
     }
 
     /// Counts one guard-pruned box.
     #[inline]
     pub(crate) fn guard_prune(&self) {
-        self.prunes.set(self.prunes.get() + 1);
+        self.bump(|c| c.prunes += 1);
     }
 
     /// Marks the query as refuted by a counterexample.
     #[inline]
     pub(crate) fn found_counterexample(&self) {
-        self.counterexample.set(true);
+        self.bump(|c| c.counterexample = true);
+    }
+
+    /// Adds the counts to the global counters and returns them, leaving the
+    /// tally at zero so nothing is flushed twice.
+    pub(crate) fn flush(&self) -> BbCounts {
+        let counts = self.counts.take();
+        bb_boxes().add(counts.boxes);
+        bb_guard_prunes().add(counts.prunes);
+        if counts.counterexample {
+            bb_counterexamples().inc();
+        }
+        counts
     }
 }
 
 impl Drop for BbTally {
     fn drop(&mut self) {
-        bb_boxes().add(self.boxes.get());
-        bb_waves().add(self.waves.get());
-        bb_guard_prunes().add(self.prunes.get());
-        if self.counterexample.get() {
-            bb_counterexamples().inc();
-        }
+        self.flush();
     }
 }
 
@@ -172,21 +178,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tally_flushes_on_drop() {
-        let queries_before = bb_queries().get();
-        let boxes_before = bb_boxes().get();
-        let cex_before = bb_counterexamples().get();
-        {
-            let tally = BbTally::start();
-            tally.box_examined();
-            tally.box_examined();
-            tally.wave();
-            tally.guard_prune();
-            tally.found_counterexample();
-        }
-        assert_eq!(bb_queries().get() - queries_before, 1);
-        assert_eq!(bb_boxes().get() - boxes_before, 2);
-        assert_eq!(bb_counterexamples().get() - cex_before, 1);
+    fn tally_flushes_what_it_counted_once() {
+        let tally = BbTally::start();
+        tally.box_examined();
+        tally.box_examined();
+        tally.guard_prune();
+        tally.found_counterexample();
+        let counts = BbCounts {
+            boxes: 2,
+            prunes: 1,
+            counterexample: true,
+        };
+        assert_eq!(tally.flush(), counts);
+        // Sibling tests bump the same process-wide counters concurrently,
+        // so the registry is checked only for floors.
+        assert!(bb_queries().get() >= 1);
+        assert!(bb_boxes().get() >= counts.boxes);
+        assert!(bb_guard_prunes().get() >= counts.prunes);
+        assert!(bb_counterexamples().get() >= 1);
+        // A flushed tally is empty, so the flush on drop adds nothing.
+        assert_eq!(tally.flush(), BbCounts::default());
+        tally.box_examined();
+        assert_eq!(
+            tally.flush(),
+            BbCounts {
+                boxes: 1,
+                ..BbCounts::default()
+            }
+        );
     }
 
     #[test]
@@ -196,7 +215,6 @@ mod tests {
         for series in [
             "vrl_solver_bb_queries_total",
             "vrl_solver_bb_boxes_total",
-            "vrl_solver_bb_waves_total",
             "vrl_solver_bb_guard_prunes_total",
             "vrl_solver_bb_counterexamples_total",
             "vrl_solver_min_boxes_total",

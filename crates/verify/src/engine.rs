@@ -44,7 +44,6 @@ impl Default for VerificationConfig {
                 max_boxes: 120_000,
                 min_width: 1e-3,
                 tolerance: 1e-9,
-                ..BranchBoundConfig::default()
             },
             init_margin: 0.05,
             unsafe_margin: 1.0,
@@ -149,12 +148,11 @@ impl std::error::Error for VerificationFailure {}
 ///
 /// Every branch-and-bound query issued by either back-end pulls its
 /// compiled `objective + guards` family from the per-thread
-/// `vrl_solver::CompiledQueryCache` and sweeps its frontier through the
-/// lane-batched interval kernels, so CEGIS drivers that call this function
-/// repeatedly (re-proof rounds, shrink steps, Table 3 redeploys) never
-/// recompile an already-seen certificate family; both optimizations are
+/// `vrl_solver::CompiledQueryCache`, so CEGIS drivers that call this
+/// function repeatedly (re-proof rounds, shrink steps, Table 3 redeploys)
+/// never recompile an already-seen certificate family; a cache hit is
 /// bit-for-bit outcome-neutral, so the certificate produced is exactly the
-/// scalar path's.
+/// uncached path's.
 ///
 /// # Errors
 ///
